@@ -19,8 +19,9 @@ from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,
 from .operators import (translate, modulate, chirp, dilate, involution,
                         a_translate, a_modulate, a_translate_compose_check)
 from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle, isaft,
-                     spectrum_grid, dft_frequencies, chirp_period_compatible,
-                     sinc_reference, twisted_derivative, heat_evolve)
+                     apply_symbol, spectrum_grid, dft_frequencies,
+                     chirp_period_compatible, sinc_reference,
+                     twisted_derivative, heat_evolve)
 from .aconv import (aconv_oracle, aconv_fast, crop_to_grid, extended_grid,
                     approx_identity_run, young_check, mult_functional)
 from .timefreq import (TFMatrix, stft, moyal_energy, window_flip,
@@ -32,7 +33,7 @@ from .multipliers import (SymbolSpec, imaginary_power, smoothed_sign,
                           dyadic_bump, indicator_symbol, indicator_union,
                           apply_multiplier, hormander_validate,
                           hormander_scale_invariance, multiplier_norm_probe,
-                          LPBank, lp_project, project_to_bank, square_function,
+                          LPBank, lp_project, square_function,
                           lp_ratio_probe, wendel_commute_check)
 
 __version__ = "0.1.0"

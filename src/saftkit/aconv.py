@@ -24,14 +24,6 @@ from .params import SaftParams, post_chirp, quad_chirp
 from .engine import saft
 
 
-def _origin_steps(grid: Grid) -> int:
-    k = grid.start / grid.step
-    k0 = int(round(k))
-    if abs(k - k0) > 1e-9 * max(1.0, abs(k)):
-        raise ValueError("cyclic convolution needs the grid origin on the step lattice")
-    return k0
-
-
 def extended_grid(grid: Grid) -> Grid:
     """Support of a compact-mode convolution: [2 t0, ...] with 2N-1 nodes."""
     return Grid(2.0 * grid.start, grid.step, 2 * grid.count - 1)
@@ -75,7 +67,8 @@ def aconv_fast(params: SaftParams, f: Signal, g: Signal,
         out = scale * np.conj(quad_chirp(params, ext.nodes())) * w
         return Signal(ext, out, "compact")
     if mode == "cyclic":
-        k0 = _origin_steps(f.grid)
+        k0 = f.grid.steps_of(f.grid.start, "cyclic convolution needs the "
+                             "grid origin on the step lattice")
         w = np.roll(np.fft.ifft(np.fft.fft(u) * np.fft.fft(v)), k0)
         out = scale * np.conj(quad_chirp(params, f.grid.nodes())) * w
         return Signal(f.grid, out, "cyclic")
@@ -84,7 +77,8 @@ def aconv_fast(params: SaftParams, f: Signal, g: Signal,
 
 def crop_to_grid(h: Signal, grid: Grid) -> Signal:
     """Restrict an extended-grid convolution back to the source grid."""
-    k0 = _origin_steps(grid)
+    k0 = grid.steps_of(grid.start, "cropping needs the grid origin on the "
+                       "step lattice")
     idx = np.arange(grid.count) - k0
     out = np.zeros(grid.count, dtype=complex)
     ok = (idx >= 0) & (idx < h.grid.count)

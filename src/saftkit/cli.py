@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, inp=True, out=True):
         p.add_argument("--params", type=parse_params, default=parse_params("fourier"),
-                       help="fourier | frft:THETA | fresnel:B | a,b,c,d,p,q")
+                       help="fourier | frft:THETA | fresnel:B | a,b,c,d,p,q; "
+                       "write --params=-0.5,... when the first entry is negative")
         if inp:
             p.add_argument("--in", dest="infile", required=True,
                            help="input signal (.json or .csv)")

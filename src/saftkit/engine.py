@@ -69,16 +69,10 @@ def make_plan(params: SaftParams, grid: Grid) -> SaftPlan:
                     pre=pre_chirp(params, t), post=post, flip=params.b < 0)
 
 
-def _check_plan(plan: SaftPlan, grid: Grid):
-    g = plan.grid
-    if (g.count != grid.count or abs(g.start - grid.start) > 1e-12
-            or abs(g.step - grid.step) > 1e-12):
-        raise ValueError("plan was built for a different grid")
-
-
 def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
     """O(N log N) transform: chirp, FFT, origin twiddle, chirp."""
-    _check_plan(plan, f.grid)
+    if not plan.grid.same_as(f.grid):
+        raise ValueError("plan was built for a different grid")
     spec = np.fft.fftshift(np.fft.fft(plan.pre * f.samples))
     vals = plan.post * spec
     if plan.flip:
@@ -123,14 +117,24 @@ def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
     divides out the input chirp; isaft(saft_fast(f)) reproduces f to
     rounding.
     """
-    fg = F.freq_grid
-    pg = plan.freq_grid
-    if (fg.count != pg.count or abs(fg.start - pg.start) > 1e-9 * pg.step
-            or abs(fg.step - pg.step) > 1e-9 * pg.step):
+    if not plan.freq_grid.same_as(F.freq_grid):
         raise ValueError("spectrum was not produced on the plan's grids")
     vals = F.samples[::-1] if plan.flip else F.samples
     spec = np.fft.ifftshift(vals / plan.post)
     return Signal(plan.grid, np.fft.ifft(spec) / plan.pre, mode)
+
+
+def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:
+    """Transform, multiply by a symbol, invert.
+
+    values are the symbol on plan.freq_grid (ascending); they must be
+    finite.  The output keeps the boundary mode of f.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("symbol takes non-finite values on the grid")
+    F = saft_fast(plan, f)
+    return isaft(plan, Spectrum(plan.params, F.freq_grid, values * F.samples),
+                 f.mode)
 
 
 def chirp_period_compatible(params: SaftParams, grid: Grid,
@@ -185,9 +189,8 @@ def twisted_derivative(params: SaftParams, f: Signal,
     """
     if method == "spectral":
         plan = make_plan(params, f.grid)
-        F = saft_fast(plan, f)
-        sym = 2j * np.pi * (F.freq_grid.nodes() - params.p) / params.b
-        return isaft(plan, Spectrum(params, F.freq_grid, sym * F.samples), f.mode)
+        sym = 2j * np.pi * (plan.freq_grid.nodes() - params.p) / params.b
+        return apply_symbol(plan, f, sym)
     if method == "finite_difference":
         n = f.grid.count
         if n < 8:
@@ -219,10 +222,9 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
         raise ValueError("evolution time must be positive")
     if method == "multiplier":
         plan = make_plan(params, g.grid)
-        F = saft_fast(plan, g)
-        w = F.freq_grid.nodes()
+        w = plan.freq_grid.nodes()
         damp = np.exp(-((2.0 * np.pi * (w - params.p) / params.b) ** 2) * t)
-        return isaft(plan, Spectrum(params, F.freq_grid, damp * F.samples), g.mode)
+        return apply_symbol(plan, g, damp)
     if method == "kernel":
         y = g.grid.nodes()
         rate = params.a / params.b

@@ -44,12 +44,28 @@ class Grid:
         """Window length count * step."""
         return self.count * self.step
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node at position t; rejects off-grid positions."""
-        m = (t - self.start) / self.step
+    def steps_of(self, x: float, what: str) -> int:
+        """x / step as an int, for a length that must lie on the step lattice.
+
+        Accepts |m - round(m)| <= 1e-9 * max(1, |m|) with m = x / step and
+        otherwise raises a ValueError that opens with `what`, which should
+        name the quantity and the step it must be a multiple of.
+        """
+        m = x / self.step
         k = int(round(m))
-        if abs(m - k) > tol * max(1.0, abs(m)):
-            raise ValueError(f"position {t} is not on the grid (offset {m - k} steps)")
+        if abs(m - k) > 1e-9 * max(1.0, abs(m)):
+            raise ValueError(f"{what} (off by {m - k:+.3g} of the step {self.step!r})")
+        return k
+
+    def same_as(self, other: "Grid") -> bool:
+        """Equal count, with start and step equal within 1e-9 * step."""
+        tol = 1e-9 * self.step
+        return (self.count == other.count and abs(self.start - other.start) <= tol
+                and abs(self.step - other.step) <= tol)
+
+    def index_of(self, t: float) -> int:
+        """Index of the node at position t; rejects off-grid positions."""
+        k = self.steps_of(t - self.start, f"position {t} is not on the grid")
         if not (0 <= k < self.count):
             raise ValueError(f"position {t} lies outside the grid")
         return k
@@ -174,9 +190,8 @@ def tail_mass(f: Signal, frac: float = 0.05) -> float:
     return float(outer / total)
 
 
-def _require_same_grid(f: Signal, g: Signal, tol: float = 1e-12):
-    fg, gg = f.grid, g.grid
-    if fg.count != gg.count or abs(fg.start - gg.start) > tol or abs(fg.step - gg.step) > tol:
+def _require_same_grid(f: Signal, g: Signal):
+    if not f.grid.same_as(g.grid):
         raise ValueError("signals must share a grid")
     if f.mode != g.mode:
         raise ValueError("signals must share a boundary mode")

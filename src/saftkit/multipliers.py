@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aconv import aconv_fast
-from .engine import SaftPlan, isaft, make_plan, saft_fast
+from .engine import SaftPlan, apply_symbol, isaft, make_plan, saft_fast
 from .grid import Grid, Signal, Spectrum, lr_norm
 from .operators import a_translate
 from .params import SaftParams
@@ -117,11 +117,7 @@ def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal,
     """Diagonal action: invert(m(w_k) * transform(f)); cyclic mode."""
     if plan is None:
         plan = make_plan(params, f.grid)
-    F = saft_fast(plan, f)
-    vals = m.value(F.freq_grid.nodes())
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol takes non-finite values on the grid")
-    return isaft(plan, Spectrum(params, F.freq_grid, vals * F.samples), f.mode)
+    return apply_symbol(plan, f, m.value(plan.freq_grid.nodes()))
 
 
 def hormander_validate(m: SymbolSpec, omegas) -> dict:
@@ -223,17 +219,6 @@ def lp_project(params: SaftParams, bank: LPBank, f: Signal,
     return out
 
 
-def project_to_bank(params: SaftParams, bank: LPBank, f: Signal,
-                    plan: SaftPlan | None = None) -> Signal:
-    """Drop all spectral mass outside the bank's coverage (the DC bin is
-    never covered), producing a signal the bank reconstructs exactly."""
-    if plan is None:
-        plan = make_plan(params, f.grid)
-    F = saft_fast(plan, f)
-    mask = bank.coverage_mask(F.freq_grid.nodes())
-    return isaft(plan, Spectrum(params, F.freq_grid, mask * F.samples), f.mode)
-
-
 def square_function(blocks: list[Signal]) -> Signal:
     """Pointwise (sum_j |S_j f|^2)^(1/2); real nonnegative samples."""
     if not blocks:
@@ -241,7 +226,7 @@ def square_function(blocks: list[Signal]) -> Signal:
     grid = blocks[0].grid
     acc = np.zeros(grid.count)
     for blk in blocks:
-        if blk.grid != grid:
+        if not blk.grid.same_as(grid):
             raise ValueError("blocks must share a grid")
         acc += np.abs(blk.samples) ** 2
     return Signal(grid, np.sqrt(acc).astype(complex), blocks[0].mode)

@@ -15,17 +15,9 @@ from .grid import Grid, Signal, _require_same_grid
 from .params import SaftParams
 
 
-def _shift_steps(f: Signal, s: float, tol: float = 1e-9) -> int:
-    m = s / f.grid.step
-    k = int(round(m))
-    if abs(m - k) > tol * max(1.0, abs(m)):
-        raise ValueError(f"shift {s} is not a multiple of the grid step")
-    return k
-
-
 def translate(f: Signal, s: float) -> Signal:
     """T_s f(t) = f(t - s); cyclic mode wraps, compact mode zero-fills."""
-    m = _shift_steps(f, s)
+    m = f.grid.steps_of(s, f"shift {s} is not a multiple of the grid step")
     if m == 0:
         return f
     if f.mode == "cyclic":
@@ -68,10 +60,8 @@ def involution(f: Signal) -> Signal:
     """f(t) -> f(-t); needs cyclic mode or a grid symmetric about zero."""
     n = f.grid.count
     if f.mode == "cyclic":
-        two_k0 = 2.0 * f.grid.start / f.grid.step
-        k = int(round(two_k0))
-        if abs(two_k0 - k) > 1e-9 * max(1.0, abs(two_k0)):
-            raise ValueError("cyclic involution needs 2*start to be a step multiple")
+        k = f.grid.steps_of(2.0 * f.grid.start,
+                            "cyclic involution needs 2*start to be a step multiple")
         idx = (-np.arange(n) - k) % n
         return f.with_samples(f.samples[idx])
     if abs(2.0 * f.grid.start + (n - 1) * f.grid.step) > 1e-9 * f.grid.step:
@@ -87,7 +77,7 @@ def a_translate(f: Signal, params: SaftParams, s: float) -> Signal:
     which periodizes the chirped signal and keeps both the chirp-conjugation
     identity and the projective composition law exact at wrapped indices.
     """
-    m = _shift_steps(f, s)
+    m = f.grid.steps_of(s, f"shift {s} is not a multiple of the grid step")
     t = f.grid.nodes()
     n = f.grid.count
     rate = params.a / params.b

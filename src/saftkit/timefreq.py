@@ -44,10 +44,7 @@ def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
     _require_same_grid(f, g)
     grid = f.grid
     n = grid.count
-    k0f = grid.start / grid.step
-    k0 = int(round(k0f))
-    if abs(k0f - k0) > 1e-9 * max(1.0, abs(k0f)):
-        raise ValueError("STFT needs the grid origin on the step lattice")
+    k0 = grid.steps_of(grid.start, "STFT needs the grid origin on the step lattice")
     m_idx = np.arange(n)[:, None]
     j = np.arange(n)[None, :] - m_idx - k0
     if f.mode == "cyclic":
@@ -108,20 +105,17 @@ def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
     multiples of the frequency step 1/(N dt).
     """
     V0 = stft(f, g)
-    dxi = V0.w_grid.step
-    shear_step = s * f.grid.step / dxi
-    shear_base = s * f.grid.start / dxi
-    for val, name in ((shear_step, "s*dt"), (shear_base, "s*t0")):
-        if abs(val - round(val)) > 1e-9 * max(1.0, abs(val)):
-            raise ValueError(f"misaligned shear: {name} must be a multiple of "
-                             f"the frequency step {dxi}")
+    shear_step = V0.w_grid.steps_of(s * f.grid.step, "misaligned shear: s*dt "
+                                    "must be a multiple of the frequency step")
+    shear_base = V0.w_grid.steps_of(s * f.grid.start, "misaligned shear: s*t0 "
+                                    "must be a multiple of the frequency step")
     lhs = stft(chirp(f, s), chirp(g, s)).values
     x = f.grid.nodes()
     n = f.grid.count
     rhs = np.empty_like(lhs)
     for m in range(n):
-        dk = int(round(shear_base + m * shear_step))
-        rhs[m] = np.exp(-1j * np.pi * s * x[m] * x[m]) * np.roll(V0.values[m], dk)
+        rhs[m] = (np.exp(-1j * np.pi * s * x[m] * x[m])
+                  * np.roll(V0.values[m], shear_base + m * shear_step))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -136,20 +130,15 @@ def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
     lattice; misalignment is rejected with the required alignment reported.
     """
     V0 = stft(f, g)
-    dxi = V0.w_grid.step
-    m_shift = xi / f.grid.step
-    if abs(m_shift - round(m_shift)) > 1e-9 * max(1.0, abs(m_shift)):
-        raise ValueError(f"xi must be a multiple of the grid step {f.grid.step}")
-    k_shift = (params.a * xi - eta) / (params.b * dxi)
-    if abs(k_shift - round(k_shift)) > 1e-9 * max(1.0, abs(k_shift)):
-        raise ValueError(f"(a*xi - eta)/b = {(params.a * xi - eta) / params.b} "
-                         f"must be a multiple of the frequency step {dxi}")
+    m_shift = f.grid.steps_of(xi, "xi must be a multiple of the grid step")
+    w_shift = (params.a * xi - eta) / params.b
+    k_shift = V0.w_grid.steps_of(w_shift, f"(a*xi - eta)/b = {w_shift} must "
+                                 "be a multiple of the frequency step")
     shifted = a_translate(a_modulate(f, params, eta), params, xi)
     lhs = stft(shifted, g).values
     w = V0.w_grid.nodes()
     scalar = pre_chirp(params, -eta)
-    rolled = np.roll(V0.values, (int(round(m_shift)), -int(round(k_shift))),
-                     axis=(0, 1))
+    rolled = np.roll(V0.values, (m_shift, -k_shift), axis=(0, 1))
     rhs = scalar * np.exp(-2j * np.pi * xi * w)[None, :] * rolled
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
+from saftkit.engine import make_plan, saft_fast
 from saftkit.grid import centered_grid, load_signal, load_spectrum, save_signal
 from saftkit.params import fourier_params
 from saftkit.verify import run_verify, standard_parameter_sets
@@ -108,6 +109,25 @@ def test_cli_verify_tier1_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "checks passed" in out
+
+
+def test_cli_verify_generic_seed1_tier1_passes(capsys):
+    # the signal has almost no energy at the T1.08 probe frequency here
+    rc = main(["verify", "--params", "1,2,-2,-3,0.3,-0.2", "--seed", "1",
+               "--tiers", "1", "--no-bench"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+
+
+def test_cli_negative_first_param_with_equals(signal_file, tmp_path):
+    path, f = signal_file
+    spec = str(tmp_path / "F.json")
+    assert main(["saft", "--params=-0.5,1,-0.75,-0.5", "--in", path,
+                 "--out", spec]) == 0
+    F = load_spectrum(spec)
+    assert (F.params.a, F.params.b, F.params.c, F.params.d) == (-0.5, 1.0, -0.75, -0.5)
+    ref = saft_fast(make_plan(F.params, f.grid), f)
+    assert np.max(np.abs(F.samples - ref.samples)) <= 1e-12
 
 
 def test_cli_verify_rejects_bad_size():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from saftkit.engine import (chirp_period_compatible, dft_frequencies,
-                            heat_evolve, isaft, make_plan, saft, saft_fast,
-                            saft_oracle, sinc_reference, spectrum_grid,
-                            twisted_derivative)
+from saftkit.engine import (apply_symbol, chirp_period_compatible,
+                            dft_frequencies, heat_evolve, isaft, make_plan,
+                            saft, saft_fast, saft_oracle, sinc_reference,
+                            spectrum_grid, twisted_derivative)
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, lr_norm,
                           sample, spectrum_norm)
 from saftkit.operators import a_translate
@@ -312,3 +312,28 @@ def test_dft_frequencies_centered():
     xi = dft_frequencies(g)
     assert xi[4] == 0.0
     assert np.allclose(np.diff(xi), 1.0 / (8 * 0.25))
+
+
+@pytest.mark.parametrize("p", PSETS + (make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1),),
+                         ids=("fourier", "frft", "generic", "neg_b"))
+@pytest.mark.parametrize("grid", (centered_grid(10.0, 256), Grid(-3.7, 0.05, 255)),
+                         ids=("even", "odd_noncentered"))
+def test_apply_symbol_matches_spelled_out_path(p, grid):
+    plan = make_plan(p, grid)
+    w = plan.freq_grid.nodes()
+    for mode in ("cyclic", "compact"):
+        f = _noise(grid, 31, mode)
+        for values in (np.exp(-w * w), 2j * np.pi * (w - p.p) / p.b, np.ones(grid.count)):
+            ref = isaft(plan, Spectrum(p, plan.freq_grid,
+                                       values * saft_fast(plan, f).samples), f.mode)
+            out = apply_symbol(plan, f, values)
+            assert out.mode == mode and out.grid == grid
+            assert np.array_equal(out.samples, ref.samples)
+
+
+def test_apply_symbol_rejects_nonfinite_values():
+    plan = make_plan(GENERIC, centered_grid(4.0, 64))
+    values = np.ones(64)
+    values[5] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_symbol(plan, _noise(plan.grid, 2), values)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from saftkit.engine import make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, impulse,
@@ -184,3 +185,50 @@ def test_grid_validation():
         Grid(0.0, 0.1, 1)
     with pytest.raises(ValueError):
         Signal(Grid(0.0, 0.1, 4), np.zeros(3))
+
+
+# Lattice primitives on odd and even counts, centred and non-centred grids
+# with negative origins.
+LATTICE_GRIDS = (centered_grid(10.0, 256), centered_grid(10.0, 255),
+                 Grid(-3.7, 0.05, 128), Grid(-1234.5, 0.125, 97))
+
+
+@pytest.mark.parametrize("g", LATTICE_GRIDS, ids=("even", "odd", "neg", "far"))
+def test_steps_of_whole_and_half_steps(g):
+    for k in (0, 1, -1, 7, -g.count, 3 * g.count):
+        assert g.steps_of(k * g.step, "shift") == k
+    for k in (0, 1, -2, g.count):
+        with pytest.raises(ValueError, match="^shift"):
+            g.steps_of((k + 0.5) * g.step, "shift")
+
+
+@given(k=st.integers(-10**6, 10**6), which=st.integers(0, len(LATTICE_GRIDS) - 1))
+def test_steps_of_generated_offsets(k, which):
+    g = LATTICE_GRIDS[which]
+    assert g.steps_of(k * g.step, "offset") == k
+    with pytest.raises(ValueError):
+        g.steps_of((k + 0.5) * g.step, "offset")
+
+
+@pytest.mark.parametrize("g", LATTICE_GRIDS, ids=("even", "odd", "neg", "far"))
+def test_index_of_on_and_off_the_grid(g):
+    for n in (0, 1, g.count // 2, g.count - 1):
+        assert g.index_of(g.node(n)) == n
+    with pytest.raises(ValueError, match="not on the grid"):
+        g.index_of(g.node(3) + 0.5 * g.step)
+    with pytest.raises(ValueError, match="outside the grid"):
+        g.index_of(g.node(g.count))
+
+
+@given(k=st.integers(-10**4, 10**4), which=st.integers(0, len(LATTICE_GRIDS) - 1),
+       rel=st.floats(-1.0, 1.0))
+def test_same_as_tolerance(k, which, rel):
+    g = LATTICE_GRIDS[which]
+    near = Grid(g.start + 0.9e-9 * rel * g.step, g.step * (1 + 0.9e-9 * rel), g.count)
+    assert g.same_as(near) and near.same_as(g)
+    assert not g.same_as(Grid(g.start + 2e-9 * g.step, g.step, g.count))
+    assert not g.same_as(Grid(g.start, g.step * (1 + 2e-9), g.count))
+    assert not g.same_as(Grid(g.start, g.step, g.count + 1))
+    moved = Grid(g.start + k * g.step, g.step, g.count)
+    assert g.same_as(moved) == (k == 0)
+    assert not g.same_as(Grid(g.start + (k + 0.5) * g.step, g.step, g.count))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from saftkit.engine import heat_evolve, make_plan, saft_fast, isaft
+from saftkit.engine import apply_symbol, heat_evolve, make_plan, saft_fast, isaft
 from saftkit.grid import Signal, Spectrum, centered_grid, inner_product, lr_norm
 from saftkit.multipliers import (LPBank, apply_multiplier, dyadic_bump,
                                  hormander_scale_invariance,
                                  hormander_validate, imaginary_power,
                                  indicator_symbol, indicator_union, lp_project,
                                  lp_ratio_probe, multiplier_norm_probe,
-                                 project_to_bank, smoothed_sign,
+                                 smoothed_sign,
                                  square_function, wendel_commute_check)
 from saftkit.operators import a_translate
 from saftkit.params import fourier_params, frft_params, make_params
@@ -229,11 +229,12 @@ def test_lp_ratio_probe_r2_is_isometry():
     assert res["max_ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_project_to_bank_gives_covered_signal():
+def test_bank_reconstructs_its_coverage_projection():
     grid = centered_grid(10.0, 256)
     bank = LPBank.for_grid(GENERIC, grid)
     f = gaussian_mixture_family(grid, 1, 90)[0]
-    fc = project_to_bank(GENERIC, bank, f)
+    plan = make_plan(GENERIC, grid)
+    fc = apply_symbol(plan, f, bank.coverage_mask(plan.freq_grid.nodes()))
     blocks = lp_project(GENERIC, bank, fc)
     recon = np.sum([b.samples for b in blocks], axis=0)
     assert np.max(np.abs(recon - fc.samples)) <= 1e-9
