@@ -28,7 +28,7 @@ from .timefreq import (TFMatrix, stft, moyal_energy, window_flip,
                        gaussian_window, raised_cosine_window,
                        chirp_stft_covariance_check, a_covariance_check,
                        saft_stft_identity_check, mod_norm, a_mod_norm,
-                       weighted_tf_norm)
+                       a_mod_norm_oracle, weighted_tf_norm)
 from .multipliers import (SymbolSpec, imaginary_power, smoothed_sign,
                           dyadic_bump, indicator_symbol, indicator_union,
                           apply_multiplier, hormander_validate,

@@ -2,8 +2,9 @@
 
 Every subcommand is a thin shell over library operations; no numerical
 logic lives here.  Signals and spectra travel as the JSON/CSV formats
-defined in the grid module.  `verify` exits nonzero iff any check fails,
-which makes it CI-consumable.
+defined in the grid module.  Exit codes: 0 success, 1 a check failed
+(`verify`, `young`), 2 bad input or usage, with a one-line message on
+stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -76,11 +78,32 @@ def parse_weight(text: str):
     raise argparse.ArgumentTypeError("expected unit | v_ell:L")
 
 
+class InputError(Exception):
+    """An unreadable or malformed input; `main` reports it and exits 2."""
+
+
+@contextmanager
+def _input(path: str):
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _read_signal(path: str, mode: str | None = None) -> Signal:
-    f = load_signal_csv(path) if path.endswith(".csv") else load_signal(path)
+    with _input(path):
+        f = load_signal_csv(path) if path.endswith(".csv") else load_signal(path)
     if mode is not None and mode != f.mode:
         f = Signal(f.grid, f.samples, mode)
     return f
+
+
+def _read_pair(paths, mode: str) -> tuple[Signal, Signal]:
+    f, g = (_read_signal(path, mode) for path in paths)
+    if not f.grid.same_as(g.grid):
+        raise InputError(f"{paths[0]} and {paths[1]}: signals must share a grid, "
+                         f"got {f.grid} and {g.grid}")
+    return f, g
 
 
 def _write_signal(f: Signal, path: str):
@@ -122,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isaft", help="inverse transform")
     common(p)
     p.add_argument("--start", type=float, default=None,
-                   help="time-grid origin (default: centered window)")
+                   help="time-grid origin (default: the origin stored in the "
+                   "spectrum file, else a centered window)")
     p.add_argument("--mode", choices=("compact", "cyclic"), default="cyclic")
 
     p = sub.add_parser("aconv", help="twisted convolution of two signals")
@@ -242,6 +266,14 @@ def _csv_out(path: str, header: list, rows) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except InputError as exc:
+        print(f"saftkit {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     P = args.params
 
     if args.command == "saft":
@@ -253,17 +285,22 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "isaft":
-        F = load_spectrum(args.infile)
+        with _input(args.infile):
+            F = load_spectrum(args.infile)
         n = F.freq_grid.count
         dt = abs(F.params.b) / (n * F.freq_grid.step)  # grid-coupling identity
-        start = args.start if args.start is not None else -n * dt / 2.0
+        if args.start is not None:
+            start = args.start
+        elif F.time_start is not None:
+            start = F.time_start
+        else:
+            start = -n * dt / 2.0
         plan = make_plan(F.params, Grid(start, dt, n))
         _write_signal(isaft(plan, F, args.mode), args.outfile)
         return 0
 
     if args.command == "aconv":
-        f = _read_signal(args.inputs[0], args.mode)
-        g = _read_signal(args.inputs[1], args.mode)
+        f, g = _read_pair(args.inputs, args.mode)
         conv = (aconv_oracle(P, f, g) if args.oracle
                 else aconv_fast(P, f, g, args.mode))
         _write_signal(conv, args.outfile)
@@ -279,8 +316,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "young":
-        f = _read_signal(args.inputs[0], "compact")
-        g = _read_signal(args.inputs[1], "compact")
+        f, g = _read_pair(args.inputs, "compact")
         res = young_check(P, f, g, args.r, args.s)
         print(f"lhs={res['lhs']:.12e} rhs={res['rhs']:.12e} "
               f"t={res['t']:g} pass={res['pass']}")

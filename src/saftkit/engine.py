@@ -77,7 +77,7 @@ def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
     vals = plan.post * spec
     if plan.flip:
         vals = vals[::-1]
-    return Spectrum(plan.params, plan.freq_grid, vals)
+    return Spectrum(plan.params, plan.freq_grid, vals, plan.grid.start)
 
 
 def saft(params: SaftParams, f: Signal) -> Spectrum:
@@ -107,7 +107,7 @@ def saft_oracle(params: SaftParams, f: Signal) -> Spectrum:
     vals *= f.grid.step / np.sqrt(abs(b))
     if params.b < 0:
         vals = vals[::-1]
-    return Spectrum(params, spectrum_grid(params, f.grid), vals)
+    return Spectrum(params, spectrum_grid(params, f.grid), vals, f.grid.start)
 
 
 def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:

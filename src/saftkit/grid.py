@@ -110,11 +110,16 @@ class Spectrum:
     xi_k = (k - floor(N/2)) / (N*step) are the DFT frequencies of the source
     time grid; for b < 0 the w grid is re-sorted ascending (and the samples
     permuted with it), so freq_grid.step = |b| / (N*step) always.
+
+    time_start is the origin of that source time grid, when known.  Its
+    step and count follow from freq_grid and b, so with the origin an
+    inverse can put the signal back on the grid it came from.
     """
 
     params: SaftParams
     freq_grid: Grid
     samples: np.ndarray = field(repr=False)
+    time_start: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
@@ -200,15 +205,46 @@ def _require_same_grid(f: Signal, g: Signal):
 # ---------------------------------------------------------------------------
 # Serialization.  Signal JSON:
 #   {"start": t0, "step": dt, "mode": "compact"|"cyclic", "samples": [[re,im],...]}
-# Spectrum JSON embeds the parameter object alongside the same layout.
-# CSV alternative: rows "t,re,im" with a uniform t column.
+# Spectrum JSON embeds the parameter object alongside the same layout, plus
+# "time_start", the origin of the source time grid, when the spectrum
+# knows it.  CSV alternative: rows "t,re,im" with a uniform t column.
+# The loaders reject non-finite samples and grid values.
 
 def _pairs(arr: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in arr]
 
 
+def _finite_samples(arr: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} of {arr.size} is not finite: {arr[bad[0]]}")
+    return arr
+
+
 def _from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    try:
+        arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError("samples must be a list of [re, im] number pairs") from None
+    return _finite_samples(arr)
+
+
+def _finite(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a finite number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {x}")
+    return x
+
+
+def _require_keys(obj, keys, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
 def signal_to_dict(f: Signal) -> dict:
@@ -217,20 +253,31 @@ def signal_to_dict(f: Signal) -> dict:
 
 
 def signal_from_dict(obj: dict) -> Signal:
+    _require_keys(obj, ("start", "step", "samples"), "signal JSON")
     samples = _from_pairs(obj["samples"])
-    grid = Grid(float(obj["start"]), float(obj["step"]), len(samples))
+    grid = Grid(_finite(obj["start"], "start"), _finite(obj["step"], "step"),
+                len(samples))
     return Signal(grid, samples, obj.get("mode", "compact"))
 
 
 def spectrum_to_dict(F: Spectrum) -> dict:
-    return {"params": F.params.as_dict(), "start": F.freq_grid.start,
-            "step": F.freq_grid.step, "samples": _pairs(F.samples)}
+    obj = {"params": F.params.as_dict(), "start": F.freq_grid.start,
+           "step": F.freq_grid.step, "samples": _pairs(F.samples)}
+    if F.time_start is not None:
+        obj["time_start"] = F.time_start
+    return obj
 
 
 def spectrum_from_dict(obj: dict) -> Spectrum:
+    _require_keys(obj, ("params", "start", "step", "samples"), "spectrum JSON")
+    raw = obj["params"]
+    _require_keys(raw, ("a", "b", "c", "d"), "spectrum params")
+    params = SaftParams(*(_finite(raw.get(k, 0.0), f"params {k}") for k in "abcdpq"))
     samples = _from_pairs(obj["samples"])
-    grid = Grid(float(obj["start"]), float(obj["step"]), len(samples))
-    return Spectrum(SaftParams.from_dict(obj["params"]), grid, samples)
+    grid = Grid(_finite(obj["start"], "start"), _finite(obj["step"], "step"),
+                len(samples))
+    t0 = _finite(obj["time_start"], "time_start") if "time_start" in obj else None
+    return Spectrum(params, grid, samples, t0)
 
 
 def save_signal(f: Signal, path: str):
@@ -269,13 +316,18 @@ def load_signal_csv(path: str, mode: str = "compact") -> Signal:
         for row in rows:
             if not row or row[0].strip().lower() in ("t", ""):
                 continue
+            if len(row) < 3:
+                raise ValueError(f"CSV row {row!r} needs three columns t,re,im")
             ts.append(float(row[0]))
             vals.append(complex(float(row[1]), float(row[2])))
     if len(ts) < 2:
         raise ValueError("CSV needs at least two samples")
     t = np.asarray(ts)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("CSV time column must be finite")
     steps = np.diff(t)
     step = float(steps[0])
     if not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
         raise ValueError("CSV time column must be uniform")
-    return Signal(Grid(float(t[0]), step, len(t)), np.asarray(vals), mode)
+    samples = _finite_samples(np.asarray(vals, dtype=complex))
+    return Signal(Grid(float(t[0]), step, len(t)), samples, mode)

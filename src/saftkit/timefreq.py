@@ -17,7 +17,13 @@ from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
 from .grid import Grid, Signal, _require_same_grid
 from .operators import a_modulate, a_translate, chirp, involution
-from .params import SaftParams, WeightSpec, pre_chirp, weight_eval
+from .params import SaftParams, WeightSpec, pre_chirp, quad_chirp, weight_eval
+
+# stft builds several dense N x N complex tables: 256 MiB each at this limit.
+STFT_MAX_COUNT = 4096
+# a_mod_norm works in blocks of frequency rows of at most this many complex
+# values (4 MiB per table), so N <= 512 is one block.
+AMOD_BLOCK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,15 @@ def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
 
     One FFT per window position, batched.  Cyclic mode wraps the window
     (needed for the exact full-lattice Moyal identity); compact mode
-    zero-fills outside the grid.
+    zero-fills outside the grid.  N above STFT_MAX_COUNT is rejected
+    before any N x N table is built.
     """
     _require_same_grid(f, g)
     grid = f.grid
     n = grid.count
+    if n > STFT_MAX_COUNT:
+        raise ValueError(f"stft builds dense N x N tables; N = {n} is above "
+                         f"the limit of {STFT_MAX_COUNT} samples")
     k0 = grid.steps_of(grid.start, "STFT needs the grid origin on the step lattice")
     m_idx = np.arange(n)[:, None]
     j = np.arange(n)[None, :] - m_idx - k0
@@ -207,9 +217,48 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
                r: float, s: float, m: WeightSpec) -> float:
     """Twisted modulation norm: the mixed norm of |f *A M^A_w g(x)|.
 
-    Computed directly from its definition, one cyclic twisted convolution
-    per frequency on the induced grid w = b * xi; the weight is evaluated
-    on that twisted-side lattice.
+    Batched form of a_mod_norm_oracle, with the same arithmetic per
+    frequency: f is chirped and transformed once, then each block of
+    frequency rows builds the chirped, A-modulated windows as one matrix,
+    takes one FFT and one inverse FFT along the rows, and reduces them
+    with the weight evaluated on the twisted-side lattice w = b * xi.
+    A block holds at most AMOD_BLOCK_ENTRIES complex values, so memory
+    stays bounded at any N.
+    """
+    _check_exponents(r, s)
+    if np.max(np.abs(g.samples)) == 0.0:
+        raise ValueError("window must be nonzero")
+    _require_same_grid(f, g)
+    grid = f.grid
+    n = grid.count
+    k0 = grid.steps_of(grid.start, "cyclic convolution needs the grid origin "
+                       "on the step lattice")
+    x = grid.nodes()
+    omegas = params.b * dft_frequencies(grid)
+    qc = quad_chirp(params, x)
+    U = np.fft.fft(qc * f.samples)
+    post = grid.step / np.sqrt(abs(params.b)) * np.conj(qc)
+    inner = np.empty(n)
+    rows = max(1, AMOD_BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        w = omegas[lo:lo + rows, None]
+        phase = np.exp(1j * np.pi / params.b
+                       * (params.a * w * w - 2.0 * params.p * w + 2.0 * w * x))
+        V = np.fft.fft(qc * (phase * g.samples), axis=1)
+        conv = post * np.roll(np.fft.ifft(U * V, axis=1), k0, axis=1)
+        wgt = weight_eval(m, x, w)
+        inner[lo:lo + rows] = grid.step * np.sum((np.abs(conv) * wgt) ** r, axis=1)
+    dxi = 1.0 / grid.span
+    return float((abs(params.b) * dxi * np.sum(inner ** (s / r))) ** (1.0 / s))
+
+
+def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
+                      r: float, s: float, m: WeightSpec) -> float:
+    """Twisted modulation norm straight from its definition.
+
+    One cyclic twisted convolution per frequency on the induced grid
+    w = b * xi, through aconv_fast and a_modulate; the weight is evaluated
+    on that twisted-side lattice.  The reference for a_mod_norm.
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:

@@ -5,7 +5,8 @@ import pytest
 
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
 from saftkit.engine import make_plan, saft_fast
-from saftkit.grid import centered_grid, load_signal, load_spectrum, save_signal
+from saftkit.grid import (Grid, centered_grid, load_signal, load_spectrum,
+                          save_signal)
 from saftkit.params import fourier_params
 from saftkit.verify import run_verify, standard_parameter_sets
 from saftkit.families import gaussian_mixture_family
@@ -57,6 +58,82 @@ def test_cli_saft_isaft_roundtrip(signal_file, tmp_path):
     assert main(["isaft", "--params", "frft:0.7", "--in", spec, "--out", back]) == 0
     f2 = load_signal(back)
     assert np.max(np.abs(f2.samples - f.samples)) <= 1e-10
+
+
+def test_cli_isaft_restores_a_non_centred_origin(tmp_path):
+    grid = Grid(-5.0, 20.0 / 512, 512)
+    f = gaussian_mixture_family(grid, 1, 8)[0]
+    path, spec, back = (str(tmp_path / name) for name in ("f.json", "F.json", "b.json"))
+    save_signal(f, path)
+    assert main(["saft", "--params", "frft:0.7854", "--in", path, "--out", spec]) == 0
+    assert load_spectrum(spec).time_start == -5.0
+    assert main(["isaft", "--in", spec, "--out", back]) == 0
+    f2 = load_signal(back)
+    assert f2.grid.same_as(grid)
+    assert np.max(np.abs(f2.samples - f.samples)) <= 1e-10
+
+
+def test_cli_isaft_centres_a_spectrum_without_origin(signal_file, tmp_path):
+    path, f = signal_file
+    spec = tmp_path / "F.json"
+    back = str(tmp_path / "f2.json")
+    main(["saft", "--params", "frft:0.7", "--in", path, "--out", str(spec)])
+    obj = json.loads(spec.read_text())
+    del obj["time_start"]
+    spec.write_text(json.dumps(obj))
+    assert main(["isaft", "--in", str(spec), "--out", back]) == 0
+    n = f.grid.count
+    assert load_signal(back).grid.start == pytest.approx(-n * f.grid.step / 2.0)
+
+
+@pytest.mark.parametrize("obj, message", (
+    ({"start": 0.0, "step": 0.1, "samples": [[1.0, 0.0]]}, "at least two nodes"),
+    ({"start": 0.0, "step": 0.1,
+      "samples": [[1.0, 0.0], [float("nan"), 0.0], [0.5, 0.0]]},
+     "sample 1 of 3 is not finite"),
+    ({"start": 0.0, "samples": [[1.0, 0.0], [0.5, 0.0]]}, "lacks 'step'"),
+    ({"start": None, "step": 0.1, "samples": [[1.0, 0.0], [0.5, 0.0]]},
+     "start must be a finite number"),
+    ({"start": 0.0, "step": [1], "samples": [[1.0, 0.0], [0.5, 0.0]]},
+     "step must be a finite number"),
+), ids=("one-sample", "nan-sample", "no-step", "null-start", "list-step"))
+def test_cli_bad_input_exits_2_with_one_line(obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "F.json"
+    assert main(["saft", "--in", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("saftkit saft: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_bad_spectrum_exits_2(signal_file, tmp_path, capsys):
+    path, _ = signal_file
+    spec = tmp_path / "F.json"
+    assert main(["saft", "--in", path, "--out", str(spec)]) == 0
+    obj = json.loads(spec.read_text())
+    obj["time_start"] = None
+    spec.write_text(json.dumps(obj))
+    assert main(["isaft", "--in", str(spec), "--out", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("saftkit isaft: error: ") and "time_start" in err
+
+
+def test_cli_inputs_on_different_grids_exit_2(tmp_path, capsys):
+    paths = []
+    for name, start in (("f.json", -5.0), ("g.json", -4.0)):
+        paths.append(str(tmp_path / name))
+        save_signal(gaussian_mixture_family(Grid(start, 0.05, 64), 1, 3)[0], paths[-1])
+    assert main(["aconv", *paths, "--out", str(tmp_path / "h.json")]) == 2
+    assert "signals must share a grid" in capsys.readouterr().err
+
+
+def test_cli_library_errors_keep_their_traceback(signal_file, tmp_path):
+    path, f = signal_file
+    with pytest.raises(ValueError, match="not a multiple of the grid step"):
+        main(["op", "--translate", str(f.grid.step / 3), "--in", path,
+              "--out", str(tmp_path / "g.json")])
 
 
 def test_cli_saft_oracle_matches_fast(signal_file, tmp_path):

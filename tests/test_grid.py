@@ -151,6 +151,45 @@ def test_spectrum_dict_roundtrip():
     back = spectrum_from_dict(json.loads(json.dumps(spectrum_to_dict(F))))
     assert back.params == p
     assert np.allclose(back.samples, F.samples)
+    assert back.time_start == g.start
+
+
+def test_spectrum_dict_without_time_start():
+    g = centered_grid(4.0, 8)
+    F = Spectrum(fourier_params(), g, np.ones(8))
+    d = spectrum_to_dict(F)
+    assert "time_start" not in d
+    assert spectrum_from_dict(d).time_start is None
+
+
+@pytest.mark.parametrize("key, value", (("start", None), ("step", [1]),
+                                        ("time_start", None), ("time_start", "x")))
+def test_spectrum_loader_rejects_non_numbers(key, value):
+    obj = {"params": fourier_params().as_dict(), "start": 0.0, "step": 0.1,
+           "samples": [[1.0, 0.0], [2.0, 0.0]], key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+        spectrum_from_dict(obj)
+    with pytest.raises(ValueError, match="params a must be a finite number"):
+        spectrum_from_dict({**obj, "params": {**obj["params"], "a": None}})
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+def test_loaders_reject_non_finite_samples(bad, tmp_path):
+    pairs = [[1.0, 0.0], [0.0, bad], [2.0, 0.0]]
+    with pytest.raises(ValueError, match="sample 1 of 3 is not finite"):
+        signal_from_dict({"start": 0.0, "step": 0.1, "samples": pairs})
+    with pytest.raises(ValueError, match="sample 1 of 3 is not finite"):
+        spectrum_from_dict({"params": fourier_params().as_dict(), "start": 0.0,
+                            "step": 0.1, "samples": pairs})
+    with pytest.raises(ValueError, match="start must be a finite number"):
+        signal_from_dict({"start": bad, "step": 0.1, "samples": pairs[::2]})
+    with pytest.raises(ValueError, match="params b must be a finite number"):
+        spectrum_from_dict({"params": {**fourier_params().as_dict(), "b": bad},
+                            "start": 0.0, "step": 0.1, "samples": pairs[::2]})
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,re,im\n0.0,1,0\n0.1,{bad},0\n0.2,1,0\n")
+    with pytest.raises(ValueError, match="sample 1 of 3 is not finite"):
+        load_signal_csv(str(path))
 
 
 def test_signal_csv_roundtrip(tmp_path):

@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saftkit.engine import make_plan, saft_fast
-from saftkit.grid import Signal, centered_grid, lr_norm, sample
+from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import chirp
 from saftkit.params import (fourier_params, freq_scaled_weight, frft_params,
                             make_params, radial_weight, sheared_weight,
                             transported_weight, unit_weight)
-from saftkit.timefreq import (TFMatrix, a_covariance_check, a_mod_norm,
+from saftkit.timefreq import (AMOD_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
+                              a_covariance_check, a_mod_norm,
+                              a_mod_norm_oracle,
                               chirp_stft_covariance_check, gaussian_window,
                               mod_norm, moyal_energy, raised_cosine_window,
                               saft_stft_identity_check, stft, tf_from_dict,
@@ -206,6 +209,63 @@ def test_a_mod_norm_index_monotonicity_bounded():
         fn = f.with_samples(f.samples / base)
         higher = a_mod_norm(GENERIC, fn, g, 3.0, 4.0, unit_weight())
         assert higher <= 2.0
+
+
+@st.composite
+def amod_cases(draw):
+    """Unimodular sets (b of either sign), odd and even N, non-centred
+    lattice-aligned origins, every weight kind, and r, s in [1, 4]."""
+    b = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
+    a, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    params = make_params(a, b, (a * d - 1.0) / b, d, p, q)
+    n = draw(st.integers(16, 97))
+    step = draw(st.floats(0.05, 0.5))
+    grid = Grid((draw(st.integers(-n, n)) - n // 2) * step, step, n)
+    ell = draw(st.floats(0.0, 3.0))
+    kind = draw(st.sampled_from(("unit", "radial", "transported",
+                                 "freq_scaled", "sheared")))
+    weight = {"unit": unit_weight(),
+              "radial": radial_weight(ell),
+              "transported": transported_weight(ell, params),
+              "freq_scaled": freq_scaled_weight(radial_weight(ell),
+                                                draw(st.floats(-3.0, 3.0))),
+              "sheared": sheared_weight(radial_weight(ell),
+                                        draw(st.floats(-3.0, 3.0)))}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f, g = (Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                   "cyclic") for _ in range(2))
+    r, s = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
+    return params, f, g, r, s, weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=amod_cases())
+def test_a_mod_norm_matches_oracle_generated(case):
+    fast = a_mod_norm(*case)
+    ref = a_mod_norm_oracle(*case)
+    assert abs(fast - ref) <= 1e-12 * ref
+
+
+def test_a_mod_norm_matches_oracle_across_row_blocks():
+    n = 1536
+    rows = AMOD_BLOCK_ENTRIES // n
+    assert n > rows and n % rows != 0  # several blocks, the last one partial
+    grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
+    f = gaussian_mixture_family(grid, 1, 78)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    fast = a_mod_norm(GENERIC, f, g, 2.0, 3.0, m)
+    assert fast == pytest.approx(a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, m),
+                                 rel=1e-12)
+
+
+def test_stft_rejects_sizes_above_the_limit():
+    n = STFT_MAX_COUNT + 1
+    f = Signal(centered_grid(10.0, n), np.zeros(n), "cyclic")
+    with pytest.raises(ValueError, match=f"N = {n} is above the limit of "
+                       f"{STFT_MAX_COUNT} samples"):
+        stft(f, f)
 
 
 def test_weight_transport_exact_for_concentrated_signals():
