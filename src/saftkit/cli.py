@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over library operations; no numerical
-logic lives here.  Signals and spectra travel as the JSON/CSV formats
-defined in the grid module.  Exit codes: 0 success, 1 a check failed
+logic and no file format lives here: every file is read and written by the
+grid module.  Exit codes: 0 success, 1 a check failed
 (`verify`, `young`), 2 bad input or usage, with a one-line message on
 stderr.
 """
@@ -10,8 +10,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from contextlib import contextmanager
 
@@ -23,8 +21,8 @@ from .engine import (heat_evolve, isaft, make_plan, saft_fast, saft_oracle,
                      twisted_derivative)
 from .families import bandlimited_family, covered_family
 from .grid import (Grid, Signal, centered_grid, load_signal, load_signal_csv,
-                   load_spectrum, save_signal, save_signal_csv, save_spectrum,
-                   signal_to_dict, tail_mass)
+                   load_spectrum, save_columns_csv, save_json, save_signal,
+                   save_signal_csv, save_spectrum, signal_to_dict, tail_mass)
 from .multipliers import (LPBank, SymbolSpec, apply_multiplier, dyadic_bump,
                           hormander_scale_invariance, hormander_validate,
                           imaginary_power, indicator_symbol, lp_project,
@@ -36,6 +34,8 @@ from .params import SaftParams, make_params, radial_weight, special_params, unit
 from .timefreq import (a_mod_norm, gaussian_window, mod_norm,
                        raised_cosine_window, stft, tf_to_dict)
 from .verify import VALID_SIZES, run_verify
+
+WINDOWS = {"gaussian": gaussian_window, "raisedcos": raised_cosine_window}
 
 
 def parse_params(text: str) -> SaftParams:
@@ -78,6 +78,14 @@ def parse_weight(text: str):
     raise argparse.ArgumentTypeError("expected unit | v_ell:L")
 
 
+def list_of(convert):
+    """argparse type for a comma list of `convert` values."""
+    def parse(text: str) -> list:
+        return [convert(x) for x in text.split(",")]
+    parse.__name__ = f"{convert.__name__} list"  # argparse's error names it
+    return parse
+
+
 class InputError(Exception):
     """An unreadable or malformed input; `main` reports it and exits 2."""
 
@@ -113,14 +121,6 @@ def _write_signal(f: Signal, path: str):
         save_signal(f, path)
 
 
-def _window(name: str, grid: Grid) -> Signal:
-    if name == "gaussian":
-        return gaussian_window(grid)
-    if name == "raisedcos":
-        return raised_cosine_window(grid)
-    raise argparse.ArgumentTypeError("window must be gaussian or raisedcos")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="saftkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -134,6 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input signal (.json or .csv)")
         if out:
             p.add_argument("--out", dest="outfile", required=True)
+
+    def window(p):
+        p.add_argument("-g", "--window", default="gaussian", choices=tuple(WINDOWS))
 
     p = sub.add_parser("saft", help="forward transform")
     common(p)
@@ -158,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approxid", help="mollifier (approximate identity) run")
     common(p, out=False)
     p.add_argument("--phi", choices=("gaussian",), default="gaussian")
-    p.add_argument("--eps", default="1,0.5,0.25,0.125",
+    p.add_argument("--eps", type=list_of(float), default=[1.0, 0.5, 0.25, 0.125],
                    help="decreasing comma list of widths")
     p.add_argument("-r", type=float, default=2.0)
 
@@ -190,24 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stft", help="full-lattice short-time Fourier transform")
     common(p)
-    p.add_argument("-g", "--window", default="gaussian",
-                   choices=("gaussian", "raisedcos"))
+    window(p)
 
-    p = sub.add_parser("modnorm", help="modulation norm")
-    common(p, out=False)
-    p.add_argument("-r", type=float, required=True)
-    p.add_argument("-s", type=float, required=True)
-    p.add_argument("--weight", type=parse_weight, default=unit_weight())
-    p.add_argument("-g", "--window", default="gaussian",
-                   choices=("gaussian", "raisedcos"))
-
-    p = sub.add_parser("amodnorm", help="twisted modulation norm")
-    common(p, out=False)
-    p.add_argument("-r", type=float, required=True)
-    p.add_argument("-s", type=float, required=True)
-    p.add_argument("--weight", type=parse_weight, default=unit_weight())
-    p.add_argument("-g", "--window", default="gaussian",
-                   choices=("gaussian", "raisedcos"))
+    for name, text in (("modnorm", "modulation norm"),
+                       ("amodnorm", "twisted modulation norm")):
+        p = sub.add_parser(name, help=text)
+        common(p, out=False)
+        p.add_argument("-r", type=float, required=True)
+        p.add_argument("-s", type=float, required=True)
+        p.add_argument("--weight", type=parse_weight, default=unit_weight())
+        window(p)
 
     p = sub.add_parser("lp", help="dyadic block projections")
     common(p)
@@ -235,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, inp=False, out=False)
     p.add_argument("--size", type=int, default=512, choices=VALID_SIZES)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tiers", default="1,2,3")
+    p.add_argument("--tiers", type=list_of(int), default=[1, 2, 3])
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--no-bench", action="store_true",
                    help="skip the (non-deterministic) timing check")
 
     p = sub.add_parser("bench", help="oracle vs fast timing table")
     common(p, inp=False, out=False)
-    p.add_argument("--sizes", default="256,512,1024,2048,4096")
+    p.add_argument("--sizes", type=list_of(int), default=[256, 512, 1024, 2048, 4096])
     p.add_argument("--repeats", type=int, default=5)
 
     p = sub.add_parser("plotdata", help="columnar data for plotting")
@@ -250,18 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=("spectrum_magnitude", "tf_magnitude", "lp_blocks",
                             "heat_snapshots"))
-    p.add_argument("--t", default="0.05,0.2", help="heat snapshot times")
-    p.add_argument("-g", "--window", default="gaussian",
-                   choices=("gaussian", "raisedcos"))
+    p.add_argument("--t", type=list_of(float), default=[0.05, 0.2],
+                   help="heat snapshot times")
+    window(p)
     return top
-
-
-def _csv_out(path: str, header: list, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
 
 
 def main(argv=None) -> int:
@@ -308,10 +295,9 @@ def _run(args) -> int:
 
     if args.command == "approxid":
         f = _read_signal(args.infile, "compact")
-        eps = [float(x) for x in args.eps.split(",")]
         errs = approx_identity_run(P, f, lambda x: np.exp(-np.pi * x * x),
-                                   eps, r=args.r)
-        for e, v in zip(eps, errs):
+                                   args.eps, r=args.r)
+        for e, v in zip(args.eps, errs):
             print(f"eps={e:g} error={v:.6e}")
         return 0
 
@@ -352,22 +338,17 @@ def _run(args) -> int:
 
     if args.command == "stft":
         f = _read_signal(args.infile, "cyclic")
-        g = _window(args.window, f.grid)
-        V = stft(f, g, window_id=args.window)
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            json.dump(tf_to_dict(V), fh)
+        V = stft(f, WINDOWS[args.window](f.grid), window_id=args.window)
+        save_json(tf_to_dict(V), args.outfile)
         return 0
 
-    if args.command == "modnorm":
+    if args.command in ("modnorm", "amodnorm"):
         f = _read_signal(args.infile, "cyclic")
-        g = _window(args.window, f.grid)
-        print(f"{mod_norm(f, g, args.r, args.s, args.weight):.12e}")
-        return 0
-
-    if args.command == "amodnorm":
-        f = _read_signal(args.infile, "cyclic")
-        g = _window(args.window, f.grid)
-        print(f"{a_mod_norm(P, f, g, args.r, args.s, args.weight):.12e}")
+        g = WINDOWS[args.window](f.grid)
+        norm = (mod_norm(f, g, args.r, args.s, args.weight)
+                if args.command == "modnorm"
+                else a_mod_norm(P, f, g, args.r, args.s, args.weight))
+        print(f"{norm:.12e}")
         return 0
 
     if args.command == "lp":
@@ -383,10 +364,8 @@ def _run(args) -> int:
         elif args.square:
             _write_signal(square_function(blocks), args.outfile)
         else:
-            payload = {str(j): signal_to_dict(b)
-                       for j, b in zip(bank.levels, blocks)}
-            with open(args.outfile, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+            save_json({str(j): signal_to_dict(b)
+                       for j, b in zip(bank.levels, blocks)}, args.outfile)
         return 0
 
     if args.command == "mult":
@@ -399,7 +378,7 @@ def _run(args) -> int:
         if args.kind == "hormander":
             sym = imaginary_power(1.0)
             fam = bandlimited_family(grid, args.count, args.seed)
-            ratio = multiplier_norm_probe(P, sym, args.r, fam, args.count)
+            ratio = multiplier_norm_probe(P, sym, args.r, fam)
             omegas = np.linspace(-10, 10, 401)
             res = hormander_validate(sym, omegas)
             c1, c2 = hormander_scale_invariance(sym, P.b, omegas)
@@ -408,21 +387,19 @@ def _run(args) -> int:
         else:
             bank = LPBank.for_grid(P, grid)
             fam = covered_family(P, bank, grid, args.count, args.seed)
-            res = lp_ratio_probe(P, bank, args.r, fam, args.count)
+            res = lp_ratio_probe(P, bank, args.r, fam)
             print(f"min ratio={res['min_ratio']:.6f} "
                   f"max ratio={res['max_ratio']:.6f}")
         return 0
 
     if args.command == "verify":
-        tiers = tuple(int(t) for t in args.tiers.split(","))
-        report = run_verify(P, args.size, args.seed, tiers,
+        report = run_verify(P, args.size, args.seed, tuple(args.tiers),
                             include_bench=not args.no_bench)
         print(report.to_json() if args.as_json else report.render_text())
         return 0 if report.passed else 1
 
     if args.command == "bench":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        rows = bench_mod.run_bench(P, sizes, repeats=args.repeats)
+        rows = bench_mod.run_bench(P, args.sizes, repeats=args.repeats)
         print(bench_mod.render_table(rows))
         return 0
 
@@ -432,50 +409,36 @@ def _run(args) -> int:
     raise AssertionError(args.command)
 
 
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # rounds like abs() of each complex value; np.abs of the array does not
+    return np.hypot(z.real, z.imag)
+
+
 def _plotdata(args, P) -> int:
+    f = _read_signal(args.infile,
+                     None if args.kind == "spectrum_magnitude" else "cyclic")
     if args.kind == "spectrum_magnitude":
-        f = _read_signal(args.infile)
         F = saft_fast(make_plan(P, f.grid), f)
-        _csv_out(args.outfile, ["omega", "magnitude"],
-                 ((repr(float(w)), repr(float(abs(v))))
-                  for w, v in zip(F.freq_grid.nodes(), F.samples)))
-        return 0
-    if args.kind == "tf_magnitude":
-        f = _read_signal(args.infile, "cyclic")
-        V = stft(f, _window(args.window, f.grid), window_id=args.window)
-        rows = []
-        for i, x in enumerate(V.x_grid.nodes()):
-            for k, w in enumerate(V.w_grid.nodes()):
-                rows.append((repr(float(x)), repr(float(w)),
-                             repr(float(abs(V.values[i, k])))))
-        _csv_out(args.outfile, ["x", "omega", "magnitude"], rows)
-        return 0
-    if args.kind == "lp_blocks":
-        f = _read_signal(args.infile, "cyclic")
+        header = ["omega", "magnitude"]
+        columns = [F.freq_grid.nodes(), _magnitude(F.samples)]
+    elif args.kind == "tf_magnitude":
+        V = stft(f, WINDOWS[args.window](f.grid), window_id=args.window)
+        x, w = np.meshgrid(V.x_grid.nodes(), V.w_grid.nodes(), indexing="ij")
+        header = ["x", "omega", "magnitude"]
+        columns = [x.ravel(), w.ravel(), _magnitude(V.values).ravel()]
+    elif args.kind == "lp_blocks":
         bank = LPBank.for_grid(P, f.grid)
-        blocks = lp_project(P, bank, f)
         header = ["t"] + [f"abs_block_{j}" for j in bank.levels]
-        rows = []
-        for n, t in enumerate(f.grid.nodes()):
-            rows.append([repr(float(t))]
-                        + [repr(float(abs(b.samples[n]))) for b in blocks])
-        _csv_out(args.outfile, header, rows)
-        return 0
-    if args.kind == "heat_snapshots":
-        f = _read_signal(args.infile, "cyclic")
-        times = [t for t in (float(x) for x in args.t.split(",")) if t > 0]
-        header = ["t"] + [f"abs_u_t{t:g}" for t in times]
-        if not times:
-            _csv_out(args.outfile, header, [])
-            return 0
-        snaps = [heat_evolve(P, f, t, "multiplier") for t in times]
-        rows = []
-        for n, x in enumerate(f.grid.nodes()):
-            rows.append([repr(float(x))]
-                        + [repr(float(abs(s.samples[n]))) for s in snaps])
-        _csv_out(args.outfile, header, rows)
-        return 0
-    raise AssertionError(args.kind)
+        columns = [f.grid.nodes()] + [_magnitude(b.samples)
+                                      for b in lp_project(P, bank, f)]
+    else:
+        times = [x for x in args.t if x > 0]
+        header = ["t"] + [f"abs_u_t{x:g}" for x in times]
+        columns = ([f.grid.nodes()]
+                   + [_magnitude(heat_evolve(P, f, x, "multiplier").samples)
+                      for x in times]) if times else []
+    save_columns_csv(args.outfile, header, columns)
+    return 0
 
 
 if __name__ == "__main__":

@@ -208,10 +208,12 @@ def _require_same_grid(f: Signal, g: Signal):
 # Spectrum JSON embeds the parameter object alongside the same layout, plus
 # "time_start", the origin of the source time grid, when the spectrum
 # knows it.  CSV alternative: rows "t,re,im" with a uniform t column.
-# The loaders reject non-finite samples and grid values.
+# The loaders reject non-finite samples and grid values.  Every file the
+# package writes goes through save_json or save_columns_csv.
 
 def _pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in arr]
+    """[[re, im], ...] as Python floats."""
+    return np.column_stack((arr.real, arr.imag)).tolist()
 
 
 def _finite_samples(arr: np.ndarray) -> np.ndarray:
@@ -280,9 +282,25 @@ def spectrum_from_dict(obj: dict) -> Spectrum:
     return Spectrum(params, grid, samples, t0)
 
 
-def save_signal(f: Signal, path: str):
+def save_json(obj, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signal_to_dict(f), fh)
+        json.dump(obj, fh)
+
+
+def save_columns_csv(path: str, header, columns):
+    """CSV with one row per index: the repr of each column's float there.
+
+    No columns gives the header alone.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist())
+                          for c in columns)))
+
+
+def save_signal(f: Signal, path: str):
+    save_json(signal_to_dict(f), path)
 
 
 def load_signal(path: str) -> Signal:
@@ -291,8 +309,7 @@ def load_signal(path: str) -> Signal:
 
 
 def save_spectrum(F: Spectrum, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spectrum_to_dict(F), fh)
+    save_json(spectrum_to_dict(F), path)
 
 
 def load_spectrum(path: str) -> Spectrum:
@@ -301,12 +318,8 @@ def load_spectrum(path: str) -> Spectrum:
 
 
 def save_signal_csv(f: Signal, path: str):
-    t = f.grid.nodes()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re", "im"])
-        for x, z in zip(t, f.samples):
-            w.writerow([repr(float(x)), repr(float(z.real)), repr(float(z.imag))])
+    save_columns_csv(path, ["t", "re", "im"],
+                     [f.grid.nodes(), f.samples.real, f.samples.imag])
 
 
 def load_signal_csv(path: str, mode: str = "compact") -> Signal:

@@ -146,15 +146,11 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
 
 
 def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, r: float,
-                          family, count: int) -> float:
-    """Max empirical ratio ||T_m f||_r / ||f||_r over `count` family signals."""
-    plan = None
+                          family: list[Signal]) -> float:
+    """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid)."""
+    plan = make_plan(params, family[0].grid)
     worst = 0.0
-    for i, f in enumerate(family):
-        if i >= count:
-            break
-        if plan is None:
-            plan = make_plan(params, f.grid)
+    for f in family:
         out = apply_multiplier(params, m, f, plan)
         worst = max(worst, lr_norm(out, r) / lr_norm(f, r))
     return worst
@@ -233,15 +229,12 @@ def square_function(blocks: list[Signal]) -> Signal:
 
 
 def lp_ratio_probe(params: SaftParams, bank: LPBank, r: float,
-                   family, count: int) -> dict:
-    """Empirical min/max of ||square_function(f)||_r / ||f||_r over the family."""
-    plan = None
+                   family: list[Signal]) -> dict:
+    """Empirical min/max of ||square_function(f)||_r / ||f||_r over the family
+    (one grid)."""
+    plan = make_plan(params, family[0].grid)
     ratios = []
-    for i, f in enumerate(family):
-        if i >= count:
-            break
-        if plan is None:
-            plan = make_plan(params, f.grid)
+    for f in family:
         sf = square_function(lp_project(params, bank, f, plan))
         ratios.append(lr_norm(sf, r) / lr_norm(f, r))
     return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios))}

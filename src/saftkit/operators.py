@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, Signal, _require_same_grid
+from .grid import Grid, Signal
 from .params import SaftParams
 
 
@@ -114,9 +114,3 @@ def a_translate_compose_check(params: SaftParams, x: float, y: float,
     factor = np.exp(-2j * np.pi * params.a / params.b * x * y)
     rhs = factor * a_translate(f, params, x + y).samples
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
-
-
-def pointwise_distance(f: Signal, g: Signal) -> float:
-    """Max abs sample difference on a shared grid."""
-    _require_same_grid(f, g)
-    return float(np.max(np.abs(f.samples - g.samples), initial=0.0))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
-from .grid import Grid, Signal, _require_same_grid
+from .grid import Grid, Signal, _pairs, _require_same_grid
 from .operators import a_modulate, a_translate, chirp, involution
 from .params import SaftParams, WeightSpec, pre_chirp, quad_chirp, weight_eval
 
@@ -288,20 +288,11 @@ def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:
 
 def tf_to_dict(V: TFMatrix) -> dict:
     """JSON layout: both grids plus a flat row-major [re, im] value list."""
-    flat = V.values.reshape(-1)
     return {
         "x_start": V.x_grid.start, "x_step": V.x_grid.step,
         "x_count": V.x_grid.count,
         "w_start": V.w_grid.start, "w_step": V.w_grid.step,
         "w_count": V.w_grid.count,
         "window_id": V.window_id,
-        "values": [[float(z.real), float(z.imag)] for z in flat],
+        "values": _pairs(V.values.reshape(-1)),
     }
-
-
-def tf_from_dict(obj: dict) -> TFMatrix:
-    xg = Grid(float(obj["x_start"]), float(obj["x_step"]), int(obj["x_count"]))
-    wg = Grid(float(obj["w_start"]), float(obj["w_step"]), int(obj["w_count"]))
-    vals = np.array([complex(re, im) for re, im in obj["values"]])
-    return TFMatrix(xg, wg, vals.reshape(xg.count, wg.count),
-                    obj.get("window_id", ""))

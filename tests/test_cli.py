@@ -1,13 +1,16 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
-from saftkit.engine import make_plan, saft_fast
-from saftkit.grid import (Grid, centered_grid, load_signal, load_spectrum,
-                          save_signal)
+from saftkit.engine import heat_evolve, make_plan, saft_fast
+from saftkit.grid import (Grid, Signal, centered_grid, load_signal,
+                          load_spectrum, save_signal)
+from saftkit.multipliers import LPBank, lp_project
 from saftkit.params import fourier_params
+from saftkit.timefreq import gaussian_window, stft
 from saftkit.verify import run_verify, standard_parameter_sets
 from saftkit.families import gaussian_mixture_family
 
@@ -178,6 +181,72 @@ def test_cli_plotdata_spectrum(signal_file, tmp_path):
     lines = open(out).read().strip().splitlines()
     assert lines[0] == "omega,magnitude"
     assert len(lines) == 129
+
+
+GENERIC_TEXT = "1,2,-2,-3,0.3,-0.2"
+
+
+def _plotdata(kind, path, out, *extra):
+    assert main(["plotdata", f"--params={GENERIC_TEXT}", "--kind", kind, "--in", path,
+                 "--out", out, *extra]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[float(x) for x in row] for row in rows]
+
+
+def test_cli_plotdata_tf_magnitude(signal_file, tmp_path):
+    path, f = signal_file
+    header, rows = _plotdata("tf_magnitude", path, str(tmp_path / "tf.csv"))
+    V = stft(Signal(f.grid, f.samples, "cyclic"), gaussian_window(f.grid))
+    assert header == ["x", "omega", "magnitude"]
+    assert len(rows) == f.grid.count ** 2
+    ref = [[float(x), float(w), float(abs(V.values[i, k]))]
+           for i, x in enumerate(V.x_grid.nodes())
+           for k, w in enumerate(V.w_grid.nodes())]
+    assert rows == ref
+
+
+def test_cli_plotdata_lp_blocks(signal_file, tmp_path):
+    path, f = signal_file
+    header, rows = _plotdata("lp_blocks", path, str(tmp_path / "lp.csv"))
+    P = parse_params(GENERIC_TEXT)
+    bank = LPBank.for_grid(P, f.grid)
+    blocks = lp_project(P, bank, Signal(f.grid, f.samples, "cyclic"))
+    assert header == ["t"] + [f"abs_block_{j}" for j in bank.levels]
+    assert len(rows) == f.grid.count and len(blocks) >= 2
+    ref = [[float(t)] + [float(abs(b.samples[n])) for b in blocks]
+           for n, t in enumerate(f.grid.nodes())]
+    assert rows == ref
+
+
+def test_cli_plotdata_heat_snapshots(signal_file, tmp_path):
+    path, f = signal_file
+    header, rows = _plotdata("heat_snapshots", path, str(tmp_path / "u.csv"),
+                             "--t", "0.05,-1,0.2")
+    P = parse_params(GENERIC_TEXT)
+    fc = Signal(f.grid, f.samples, "cyclic")
+    snaps = [heat_evolve(P, fc, t, "multiplier") for t in (0.05, 0.2)]
+    assert header == ["t", "abs_u_t0.05", "abs_u_t0.2"]
+    assert len(rows) == f.grid.count
+    ref = [[float(t)] + [float(abs(u.samples[n])) for u in snaps]
+           for n, t in enumerate(f.grid.nodes())]
+    assert rows == ref
+
+
+@pytest.mark.parametrize("argv, option", (
+    (["verify", "--tiers", "1,x", "--no-bench"], "--tiers"),
+    (["bench", "--sizes", "512,a"], "--sizes"),
+    (["approxid", "--in", "IN", "--eps", "1,b"], "--eps"),
+    (["plotdata", "--kind", "heat_snapshots", "--in", "IN", "--out", "OUT",
+      "--t", "x"], "--t"),
+))
+def test_cli_malformed_list_option_exits_2(argv, option, signal_file, tmp_path,
+                                           capsys):
+    files = {"IN": signal_file[0], "OUT": str(tmp_path / "u.csv")}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
 
 
 def test_cli_verify_tier1_passes(capsys):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saftkit.engine import make_plan, saft_fast, spectrum_grid
-from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, impulse,
-                          indicator, inner_product, load_signal,
-                          load_signal_csv, lr_norm, sample, save_signal,
-                          save_signal_csv, signal_from_dict, signal_to_dict,
-                          spectrum_from_dict, spectrum_norm, spectrum_to_dict,
-                          tail_mass)
+from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
+                          impulse, indicator, inner_product, load_signal,
+                          load_signal_csv, lr_norm, sample, save_columns_csv,
+                          save_signal, save_signal_csv, signal_from_dict,
+                          signal_to_dict, spectrum_from_dict, spectrum_norm,
+                          spectrum_to_dict, tail_mass)
 from saftkit.params import fourier_params, make_params
 
 
@@ -200,6 +200,39 @@ def test_signal_csv_roundtrip(tmp_path):
     back = load_signal_csv(str(path))
     assert np.allclose(back.samples, f.samples)
     assert back.grid.step == pytest.approx(0.25)
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                        1e300, -1.7976931348623157e308, 1 / 3, -7.0])
+
+
+def test_pairs_match_the_per_element_writer():
+    rng = np.random.default_rng(3)
+    for z in (EDGE_VALUES + 1j * EDGE_VALUES[::-1],
+              rng.standard_normal(64) * 1e300 + 1j * rng.standard_normal(64) * 1e-310,
+              np.array([], dtype=complex)):
+        ref = [[float(v.real), float(v.imag)] for v in z]
+        got = _pairs(z)
+        # repr tells -0.0 from 0.0 and shows every digit
+        assert repr(got) == repr(ref)
+        assert all(type(x) is float for row in got for x in row)
+        assert json.dumps(got) == json.dumps(ref)
+
+
+def test_signal_csv_text_matches_hand_written_rows(tmp_path):
+    g = Grid(-1.5, 0.1, EDGE_VALUES.size)
+    f = Signal(g, EDGE_VALUES[::-1] - 1j * EDGE_VALUES)
+    path = tmp_path / "f.csv"
+    save_signal_csv(f, str(path))
+    rows = ["t,re,im"] + [f"{float(x)!r},{float(z.real)!r},{float(z.imag)!r}"
+                          for x, z in zip(g.nodes(), f.samples)]
+    assert path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
+
+def test_columns_csv_without_columns_is_the_header(tmp_path):
+    path = tmp_path / "h.csv"
+    save_columns_csv(str(path), ["t"], [])
+    assert path.read_bytes() == b"t\r\n"
 
 
 def test_csv_rejects_nonuniform_time(tmp_path):

@@ -117,14 +117,14 @@ def test_multiplier_rejects_nonfinite_symbol():
 def test_norm_probe_identity_symbol():
     grid = centered_grid(10.0, 256)
     fam = bandlimited_family(grid, 4, 84)
-    ratio = multiplier_norm_probe(GENERIC, imaginary_power(0.0), 3.0, fam, 4)
+    ratio = multiplier_norm_probe(GENERIC, imaginary_power(0.0), 3.0, fam)
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
 def test_norm_probe_unimodular_at_r2():
     grid = centered_grid(10.0, 256)
     fam = bandlimited_family(grid, 4, 85)
-    ratio = multiplier_norm_probe(GENERIC, imaginary_power(1.0), 2.0, fam, 4)
+    ratio = multiplier_norm_probe(GENERIC, imaginary_power(1.0), 2.0, fam)
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
@@ -133,8 +133,7 @@ def test_norm_probe_smoothed_sign_stable():
     for n in (256, 512):
         grid = centered_grid(10.0, n)
         fam = bandlimited_family(grid, 6, 86)
-        vals.append(multiplier_norm_probe(GENERIC, smoothed_sign(1.0), 4.0,
-                                          fam, 6))
+        vals.append(multiplier_norm_probe(GENERIC, smoothed_sign(1.0), 4.0, fam))
     assert all(v <= 10.0 for v in vals)
     assert max(vals) / min(vals) <= 2.0
 
@@ -224,7 +223,7 @@ def test_lp_ratio_probe_r2_is_isometry():
     grid = centered_grid(10.0, 256)
     bank = LPBank.for_grid(GENERIC, grid)
     fam = covered_family(GENERIC, bank, grid, 4, 89)
-    res = lp_ratio_probe(GENERIC, bank, 2.0, fam, 4)
+    res = lp_ratio_probe(GENERIC, bank, 2.0, fam)
     assert res["min_ratio"] == pytest.approx(1.0, abs=1e-9)
     assert res["max_ratio"] == pytest.approx(1.0, abs=1e-9)
 

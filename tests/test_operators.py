@@ -4,8 +4,7 @@ import pytest
 from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import (a_modulate, a_translate,
                                a_translate_compose_check, chirp, dilate,
-                               involution, modulate, pointwise_distance,
-                               translate)
+                               involution, modulate, translate)
 from saftkit.params import fourier_params, frft_params, make_params
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
@@ -23,7 +22,7 @@ def _mix(grid, seed, mode="cyclic"):
 
 def test_translate_by_zero_is_identity():
     f = _mix(centered_grid(8.0, 64), 0)
-    assert pointwise_distance(translate(f, 0.0), f) == 0.0
+    assert np.max(np.abs(translate(f, 0.0).samples - f.samples)) == 0.0
 
 
 def test_cyclic_translate_wraps():
@@ -49,7 +48,7 @@ def test_offgrid_shift_rejected():
 
 def test_chirp_rate_zero_is_identity():
     f = _mix(centered_grid(8.0, 64), 2)
-    assert pointwise_distance(chirp(f, 0.0), f) == 0.0
+    assert np.max(np.abs(chirp(f, 0.0).samples - f.samples)) == 0.0
 
 
 def test_modulation_preserves_magnitude():
@@ -89,13 +88,13 @@ def test_involution_compact_needs_symmetric_grid():
 def test_a_translate_fourier_is_plain_translate():
     f = _mix(centered_grid(8.0, 64), 6)
     s = 5 * f.grid.step
-    assert pointwise_distance(a_translate(f, fourier_params(), s),
-                              translate(f, s)) <= 1e-12
+    assert np.max(np.abs(a_translate(f, fourier_params(), s).samples
+                         - translate(f, s).samples)) <= 1e-12
 
 
 def test_a_translate_zero_is_identity():
     f = _mix(centered_grid(8.0, 64), 7)
-    assert pointwise_distance(a_translate(f, GENERIC, 0.0), f) <= 1e-15
+    assert np.max(np.abs(a_translate(f, GENERIC, 0.0).samples - f.samples)) <= 1e-15
 
 
 def test_chirp_conjugation_identity():
@@ -112,13 +111,13 @@ def test_chirp_conjugation_identity():
 
 def test_a_modulate_fourier_is_plain_modulation():
     f = _mix(centered_grid(8.0, 64), 9)
-    assert pointwise_distance(a_modulate(f, fourier_params(), 1.25),
-                              modulate(f, 1.25)) <= 1e-12
+    assert np.max(np.abs(a_modulate(f, fourier_params(), 1.25).samples
+                         - modulate(f, 1.25).samples)) <= 1e-12
 
 
 def test_a_modulate_zero_and_magnitude():
     f = _mix(centered_grid(8.0, 64), 10)
-    assert pointwise_distance(a_modulate(f, GENERIC, 0.0), f) <= 1e-15
+    assert np.max(np.abs(a_modulate(f, GENERIC, 0.0).samples - f.samples)) <= 1e-15
     out = a_modulate(f, GENERIC, 2.5)
     assert np.allclose(np.abs(out.samples), np.abs(f.samples))
 
