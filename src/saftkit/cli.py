@@ -310,6 +310,11 @@ def _run(args) -> int:
 
     if args.command == "op":
         f = _read_signal(args.infile)
+        shift = args.translate if args.translate is not None else args.a_translate
+        if shift is not None:
+            with _input(args.infile):  # the file's grid fixes the lattice
+                f.grid.steps_of(shift, f"shift {shift!r} is not a multiple of "
+                                       "the grid step")
         if args.translate is not None:
             out = translate(f, args.translate)
         elif args.a_translate is not None:

@@ -7,21 +7,40 @@ representation on coupled grids,
              - 2 w_k t_n + 2 (bq-dp) w_k + d w_k^2)),    w_k = b * xi_k,
 
 with xi_k = (k - floor(N/2)) / (N dt) the centered DFT frequencies.  The
-fast path regroups the same sum as pre-chirp, one FFT, a linear phase for
-the grid origin, and a post-chirp, so oracle-vs-fast agreement is a
-rounding-level statement, not a modeling comparison.
+fast path regroups the same sum as one table multiply, one FFT and a
+second table multiply, so oracle-vs-fast agreement is a rounding-level
+statement, not a modeling comparison.  The input table holds the input
+chirp and the centring phase exp(2 pi i n floor(N/2) / N), which puts the
+FFT output in centered order without an fftshift; the output table holds
+dt/sqrt|b|, the output chirp and the linear phase of the grid origin.
+
+make_plan is memoised on (params, grid): it keeps the most recently used
+plans within a count and a byte budget, so repeated one-shot calls on one
+pair share a plan.  Plan tables are read-only, so no caller can change a
+shared plan.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, Signal, Spectrum
-from .params import SaftParams, post_chirp, pre_chirp
+from .params import SaftParams, post_chirp
 
 _ORACLE_CHUNK = 256
+# make_plan keeps at most this many plans, whose tables add up to at most
+# this many bytes, and drops the least recently used first; a plan larger
+# than the byte budget is built but not kept.  The count bound makes a
+# stream of one-off pairs push each other out instead of piling up to the
+# byte budget.
+PLAN_CACHE_PLANS = 8
+PLAN_CACHE_BYTES = 64 * 2 ** 20
 
 
 def dft_frequencies(grid: Grid) -> np.ndarray:
@@ -44,10 +63,10 @@ def spectrum_grid(params: SaftParams, grid: Grid) -> Grid:
 
 @dataclass(frozen=True)
 class SaftPlan:
-    """Precomputed phase tables for one (params, grid) pair.
+    """Read-only phase tables for one (params, grid) pair.
 
-    pre   -- input chirp at the time nodes
-    post  -- dt/sqrt|b| * output chirp * grid-origin linear phase, in DFT order
+    pre   -- input chirp times the centring phase exp(2 pi i n floor(N/2) / N)
+    post  -- dt/sqrt|b| * output chirp * grid-origin linear phase, centered order
     flip  -- whether b < 0 forces a descending-to-ascending reversal
     """
 
@@ -59,29 +78,92 @@ class SaftPlan:
     flip: bool = False
 
 
+class PlanCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    plans: int
+    nbytes: int
+
+
+_plans: OrderedDict = OrderedDict()  # (params, grid) -> plan, oldest first
+_cache = {"hits": 0, "misses": 0, "nbytes": 0}
+_cache_lock = threading.Lock()
+
+
 def make_plan(params: SaftParams, grid: Grid) -> SaftPlan:
+    """The plan for (params, grid), shared by every call with equal arguments."""
+    key = (params, grid)
+    with _cache_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            _cache["hits"] += 1
+            return plan
+        _cache["misses"] += 1
+    plan = _build_plan(params, grid)
+    size = plan.pre.nbytes + plan.post.nbytes
+    if size > PLAN_CACHE_BYTES:
+        return plan
+    with _cache_lock:
+        if key in _plans:  # another thread built it meanwhile
+            return _plans[key]
+        _plans[key] = plan
+        _cache["nbytes"] += size
+        while (_cache["nbytes"] > PLAN_CACHE_BYTES
+               or len(_plans) > PLAN_CACHE_PLANS):
+            _, old = _plans.popitem(last=False)
+            _cache["nbytes"] -= old.pre.nbytes + old.post.nbytes
+    return plan
+
+
+def _cache_info() -> PlanCacheInfo:
+    with _cache_lock:
+        return PlanCacheInfo(_cache["hits"], _cache["misses"], len(_plans),
+                             _cache["nbytes"])
+
+
+def _cache_clear():
+    with _cache_lock:
+        _plans.clear()
+        _cache.update(hits=0, misses=0, nbytes=0)
+
+
+make_plan.cache_info = _cache_info
+make_plan.cache_clear = _cache_clear
+
+
+def _build_plan(params: SaftParams, grid: Grid) -> SaftPlan:
+    n = grid.count
     t = grid.nodes()
     xi = dft_frequencies(grid)
     w = params.b * xi
-    post = (grid.step / np.sqrt(abs(params.b))
-            * post_chirp(params, w) * np.exp(-2j * np.pi * xi * grid.start))
+    # fftshift(fft(y)) = fft(y * exp(2 pi i n h / N)) with h = floor(N/2);
+    # the integer n h is reduced mod N before it becomes a phase.
+    centring = 2.0 * np.pi / n * (np.arange(n) * (n // 2) % n)
+    pre = np.exp(1j * (np.pi / params.b * (params.a * t * t + 2.0 * params.p * t)
+                       + centring))
+    post = grid.step / np.sqrt(abs(params.b)) * np.exp(
+        1j * (np.pi / params.b * (params.d * w * w + 2.0 * params.omega0 * w)
+              - 2.0 * np.pi * xi * grid.start))
+    pre.flags.writeable = False
+    post.flags.writeable = False
     return SaftPlan(params, grid, spectrum_grid(params, grid),
-                    pre=pre_chirp(params, t), post=post, flip=params.b < 0)
+                    pre=pre, post=post, flip=params.b < 0)
 
 
 def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
-    """O(N log N) transform: chirp, FFT, origin twiddle, chirp."""
+    """O(N log N) transform: post * fft(pre * f), reversed when b < 0."""
     if not plan.grid.same_as(f.grid):
         raise ValueError("plan was built for a different grid")
-    spec = np.fft.fftshift(np.fft.fft(plan.pre * f.samples))
-    vals = plan.post * spec
+    vals = np.fft.fft(plan.pre * f.samples)
+    vals *= plan.post
     if plan.flip:
         vals = vals[::-1]
     return Spectrum(plan.params, plan.freq_grid, vals, plan.grid.start)
 
 
 def saft(params: SaftParams, f: Signal) -> Spectrum:
-    """One-shot fast transform (builds a throwaway plan)."""
+    """One-shot fast transform through the memoised plan."""
     return saft_fast(make_plan(params, f.grid), f)
 
 
@@ -111,17 +193,15 @@ def saft_oracle(params: SaftParams, f: Signal) -> Spectrum:
 
 
 def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
-    """Exact algebraic inverse of the fast path.
+    """Exact algebraic inverse of the fast path: ifft(F / post) / pre.
 
-    Undoes the output chirp and origin phase, applies the inverse DFT, and
-    divides out the input chirp; isaft(saft_fast(f)) reproduces f to
-    rounding.
+    isaft(saft_fast(f)) reproduces f to rounding.
     """
     if not plan.freq_grid.same_as(F.freq_grid):
         raise ValueError("spectrum was not produced on the plan's grids")
-    vals = F.samples[::-1] if plan.flip else F.samples
-    spec = np.fft.ifftshift(vals / plan.post)
-    return Signal(plan.grid, np.fft.ifft(spec) / plan.pre, mode)
+    vals = np.fft.ifft((F.samples[::-1] if plan.flip else F.samples) / plan.post)
+    vals /= plan.pre
+    return Signal(plan.grid, vals, mode)
 
 
 def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:
@@ -216,7 +296,9 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
     kernel: quadrature of
         u(x,t) = (4 pi t)^(-1/2) * int exp(-i pi a (x^2-y^2)/b)
                                        exp(-(x-y)^2 / (4t)) g(y) dy,
-    an independent O(N^2) evaluation of the same flow.
+    an independent O(N^2) evaluation of the same flow: the Gaussian factor
+    is a real Toeplitz matrix built from 2N-1 exponentials, and the two
+    chirps multiply as vectors.  It calls no FFT and uses no plan.
     """
     if not (t > 0):
         raise ValueError("evolution time must be positive")
@@ -226,15 +308,18 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
         damp = np.exp(-((2.0 * np.pi * (w - params.p) / params.b) ** 2) * t)
         return apply_symbol(plan, g, damp)
     if method == "kernel":
+        n, dt = g.grid.count, g.grid.step
         y = g.grid.nodes()
         rate = params.a / params.b
-        out = np.empty(g.grid.count, dtype=complex)
-        gy = np.exp(1j * np.pi * rate * y * y) * g.samples
-        for lo in range(0, g.grid.count, _ORACLE_CHUNK):
-            x = y[lo:lo + _ORACLE_CHUNK, None]
-            ker = np.exp(-1j * np.pi * rate * x * x
-                         - (x - y[None, :]) ** 2 / (4.0 * t))
-            out[lo:lo + _ORACLE_CHUNK] = ker @ gy
-        out *= g.grid.step / np.sqrt(4.0 * np.pi * t)
+        # The Gaussian factor depends on x - y = m dt only.  G holds it for
+        # m = n-1 down to -(n-1), so kernel row i is G[n-1-i : 2n-1-i].
+        m = np.arange(n - 1, -n, -1) * dt
+        rows = sliding_window_view(np.exp(-m * m / (4.0 * t)), n)
+        gy = (np.exp(1j * np.pi * rate * y * y) * g.samples).view(float).reshape(n, 2)
+        out = np.empty(n, dtype=complex)
+        for lo in range(0, n, _ORACLE_CHUNK):
+            i = np.arange(lo, min(lo + _ORACLE_CHUNK, n))
+            out[lo:lo + i.size] = (rows[n - 1 - i] @ gy).view(complex).ravel()
+        out *= np.exp(-1j * np.pi * rate * y * y) * (dt / np.sqrt(4.0 * np.pi * t))
         return g.with_samples(out)
     raise ValueError(f"unknown method: {method!r}")

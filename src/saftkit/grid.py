@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,9 @@ class Grid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise ValueError(f"grid start and step must be finite, got "
+                             f"{self.start!r} and {self.step!r}")
         if not (self.step > 0):
             raise ValueError("grid step must be positive")
         if self.count < 2:

@@ -29,6 +29,9 @@ class SaftParams:
     q: float = 0.0
 
     def __post_init__(self):
+        values = (self.a, self.b, self.c, self.d, self.p, self.q)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"SAFT parameters must be finite: {values!r}")
         if self.b == 0.0:
             raise ValueError("SAFT requires b != 0")
         det = self.a * self.d - self.b * self.c
@@ -51,7 +54,8 @@ class SaftParams:
 
 def make_params(a: float, b: float, c: float, d: float,
                 p: float = 0.0, q: float = 0.0) -> SaftParams:
-    """Build a validated parameter set; rejects b = 0 and ad-bc != 1."""
+    """Build a validated parameter set; rejects non-finite entries, b = 0 and
+    ad-bc != 1."""
     return SaftParams(float(a), float(b), float(c), float(d), float(p), float(q))
 
 

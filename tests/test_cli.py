@@ -132,11 +132,34 @@ def test_cli_inputs_on_different_grids_exit_2(tmp_path, capsys):
     assert "signals must share a grid" in capsys.readouterr().err
 
 
-def test_cli_library_errors_keep_their_traceback(signal_file, tmp_path):
-    path, f = signal_file
-    with pytest.raises(ValueError, match="not a multiple of the grid step"):
-        main(["op", "--translate", str(f.grid.step / 3), "--in", path,
-              "--out", str(tmp_path / "g.json")])
+def test_cli_library_errors_keep_their_traceback(tmp_path):
+    path = str(tmp_path / "f.json")
+    save_signal(Signal(Grid(-5.0, 0.125, 64), np.ones(64), "compact"), path)
+    with pytest.raises(ValueError, match="symmetric about 0"):
+        main(["op", "--involute", "--in", path, "--out", str(tmp_path / "g.json")])
+
+
+@pytest.mark.parametrize("option", ("--translate", "--a-translate"))
+def test_cli_off_lattice_shift_exits_2(option, tmp_path, capsys):
+    path = str(tmp_path / "f.json")
+    save_signal(Signal(Grid(-4.0, 0.125, 64), np.ones(64), "cyclic"), path)
+    out = tmp_path / "g.json"
+    assert main(["op", option, "0.1", "--in", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("saftkit op: error: ") and err.count("\n") == 1
+    assert "shift 0.1 is not a multiple of the grid step" in err
+    assert not out.exists()
+    assert main(["op", option, "0.25", "--in", path, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("text", ("nan,1,0,1,0,0", "1,1,0,1,0,inf"))
+def test_cli_non_finite_params_exit_2(text, signal_file, tmp_path, capsys):
+    out = tmp_path / "F.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["saft", f"--params={text}", "--in", signal_file[0], "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --params:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_saft_oracle_matches_fast(signal_file, tmp_path):

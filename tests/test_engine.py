@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from saftkit import engine
 from saftkit.engine import (apply_symbol, chirp_period_compatible,
                             dft_frequencies, heat_evolve, isaft, make_plan,
                             saft, saft_fast, saft_oracle, sinc_reference,
@@ -337,3 +342,124 @@ def test_apply_symbol_rejects_nonfinite_values():
     values[5] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         apply_symbol(plan, _noise(plan.grid, 2), values)
+
+
+@st.composite
+def transform_cases(draw):
+    """Unimodular sets (b of either sign) on odd and even N from 16 to 97,
+    with lattice-aligned origins off the centred one."""
+    b = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
+    a, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    params = make_params(a, b, (a * d - 1.0) / b, d, p, q)
+    n = draw(st.integers(16, 97))
+    step = draw(st.floats(0.05, 0.5))
+    offset = draw(st.integers(-n, n).filter(lambda k: k != 0))
+    grid = Grid((offset - n // 2) * step, step, n)
+    return params, _noise(grid, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=transform_cases())
+def test_fast_path_identities_generated(case):
+    params, f = case
+    plan = make_plan(params, f.grid)
+    F = saft_fast(plan, f)
+    norm = lr_norm(f, 2)
+    assert np.max(np.abs(F.samples - saft_oracle(params, f).samples)) <= 1e-10 * norm
+    back = isaft(plan, F, f.mode)
+    assert np.max(np.abs(back.samples - f.samples)) <= 1e-10 * np.max(np.abs(f.samples))
+    assert abs(spectrum_norm(F, 2) - norm) <= 1e-10 * norm
+
+
+@pytest.fixture
+def plan_cache():
+    make_plan.cache_clear()
+    yield make_plan.cache_info
+    make_plan.cache_clear()
+
+
+def test_plan_cache_shares_plans_of_equal_pairs(plan_cache):
+    plan = make_plan(GENERIC, Grid(-3.7, 0.05, 255))
+    again = make_plan(make_params(1, 2, -2, -3, 0.3, -0.2), Grid(-3.7, 0.05, 255))
+    assert again is plan
+    assert plan_cache() == (1, 1, 1, plan.pre.nbytes + plan.post.nbytes)
+    assert make_plan(GENERIC, Grid(-3.65, 0.05, 255)) is not plan
+    assert make_plan(make_params(1, 2, -2, -3, 0.3, -0.1),
+                     Grid(-3.7, 0.05, 255)) is not plan
+    assert make_plan(GENERIC, Grid(-3.7, 0.05, 255)) is plan
+    assert plan_cache()[:3] == (2, 3, 3)
+
+
+def test_plan_tables_are_read_only(plan_cache):
+    plan = make_plan(GENERIC, centered_grid(4.0, 64))
+    for table in (plan.pre, plan.post):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+    assert make_plan(GENERIC, centered_grid(4.0, 64)) is plan
+
+
+def test_plan_cache_keeps_its_byte_budget(plan_cache, monkeypatch):
+    size = 2 * 64 * 16  # two complex tables of 64 entries
+    monkeypatch.setattr(engine, "PLAN_CACHE_BYTES", 2 * size)
+    big = make_plan(GENERIC, centered_grid(4.0, 256))
+    assert plan_cache() == (0, 1, 0, 0)
+    assert make_plan(GENERIC, centered_grid(4.0, 256)) is not big
+    first, second = (make_plan(GENERIC, Grid(start, 0.125, 64)) for start in (-4.0, -3.0))
+    assert plan_cache()[2:] == (2, 2 * size)
+    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is first  # now most recent
+    make_plan(GENERIC, Grid(-2.0, 0.125, 64))  # evicts the least recent
+    assert plan_cache()[2:] == (2, 2 * size)
+    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is first
+    assert make_plan(GENERIC, Grid(-3.0, 0.125, 64)) is not second
+
+
+def test_plan_cache_keeps_its_plan_count(plan_cache, monkeypatch):
+    monkeypatch.setattr(engine, "PLAN_CACHE_PLANS", 2)
+    first, second, third = (make_plan(GENERIC, Grid(start, 0.125, 64))
+                            for start in (-4.0, -3.0, -2.0))
+    assert plan_cache()[2] == 2
+    assert make_plan(GENERIC, Grid(-3.0, 0.125, 64)) is second
+    assert make_plan(GENERIC, Grid(-2.0, 0.125, 64)) is third
+    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is not first
+
+
+def test_plan_cache_stays_consistent_under_threads(plan_cache, monkeypatch):
+    monkeypatch.setattr(engine, "PLAN_CACHE_PLANS", 3)
+    grids = [Grid(-4.0 + 0.125 * k, 0.125, 64) for k in range(5)]
+    calls = 400
+    results = [[] for _ in range(8)]
+
+    def work(out):
+        for i in range(calls):
+            out.append(make_plan(GENERIC, grids[i % 5]).grid)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(out == [grids[i % 5] for i in range(calls)] for out in results)
+    hits, misses, plans, nbytes = plan_cache()
+    assert hits + misses == len(threads) * calls
+    assert (plans, nbytes) == (3, 3 * 2 * 64 * 16)
+
+
+def test_oracles_use_no_fft_and_no_plan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle path called into the fast path")
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    monkeypatch.setattr(engine, "make_plan", refuse)
+    f = _noise(Grid(-3.7, 0.05, 255), 40)
+    assert np.all(np.isfinite(saft_oracle(GENERIC, f).samples))
+    assert np.all(np.isfinite(heat_evolve(GENERIC, f, 0.1, "kernel").samples))

@@ -32,6 +32,13 @@ def test_impulse_l1_norm_is_one():
     assert lr_norm(impulse(g, 5), 1) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("start, step", ((float("nan"), 0.1), (float("inf"), 0.1),
+                                         (0.0, float("inf")), (0.0, float("nan"))))
+def test_grid_rejects_non_finite_start_and_step(start, step):
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid(start, step, 16)
+
+
 def test_norm_rejects_r_below_one():
     g = Grid(0.0, 0.1, 16)
     with pytest.raises(ValueError):

@@ -29,6 +29,18 @@ def test_zero_b_rejected():
         make_params(1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("entries", (
+    (np.nan, 1, 0, 1, 0, 0), (1, np.nan, 0, 1, 0, 0), (1, 1, np.nan, 1, 0, 0),
+    (1, 1, 0, np.nan, 0, 0), (1, 1, 0, 1, np.inf, 0), (1, 1, 0, 1, 0, -np.inf),
+    (1, 1, 0, 1, 0, np.nan),
+))
+def test_non_finite_entries_rejected(entries):
+    with pytest.raises(ValueError, match="must be finite"):
+        make_params(*entries)
+    with pytest.raises(ValueError, match="must be finite"):
+        SaftParams(*entries)
+
+
 def test_special_frft_half_pi_is_fourier():
     p = special_params("frft", np.pi / 2)
     ref = fourier_params()
