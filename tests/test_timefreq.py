@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saftkit.engine import make_plan, saft_fast
+from saftkit.engine import dft_frequencies, make_plan, saft_fast
 from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import chirp
 from saftkit.params import (fourier_params, freq_scaled_weight, frft_params,
@@ -37,6 +37,44 @@ def test_stft_zero_signal():
     grid = centered_grid(10.0, 128)
     V = stft(Signal(grid, np.zeros(128), "cyclic"), gaussian_window(grid))
     assert np.all(V.values == 0)
+
+
+def _stft_quadrature(f, g):
+    """dt * sum_n f(t_n) conj(g(t_n - x_m)) e^{-2 pi i xi_k t_n}, term by term,
+    with g read off its grid by location: wrapped in cyclic mode, zero off
+    the grid in compact mode."""
+    grid = f.grid
+    t = grid.nodes()
+    xi = dft_frequencies(grid)
+    kernel = np.exp(-2j * np.pi * xi[None, :] * t[:, None])
+    out = np.empty((grid.count, grid.count), dtype=complex)
+    for m, x in enumerate(t):
+        idx = np.rint((t - x - grid.start) / grid.step).astype(int)
+        if f.mode == "cyclic":
+            gx = g.samples[idx % grid.count]
+        else:
+            inside = (idx >= 0) & (idx < grid.count)
+            gx = np.where(inside, g.samples[np.clip(idx, 0, grid.count - 1)], 0)
+        out[m] = grid.step * (f.samples * np.conj(gx)) @ kernel
+    return out
+
+
+@pytest.mark.parametrize("mode", ("cyclic", "compact"))
+@pytest.mark.parametrize("n", (15, 16, 17, 64, 97))
+@pytest.mark.parametrize("origin", ("-N/2", "-N/2+3", "0", "-N", "2N", "-3N"))
+def test_stft_matches_direct_quadrature(mode, n, origin):
+    k0 = {"-N/2": -(n // 2), "-N/2+3": 3 - n // 2, "0": 0, "-N": -n,
+          "2N": 2 * n, "-3N": -3 * n}[origin]
+    grid = Grid(k0 * 0.1, 0.1, n)
+    rng = np.random.default_rng([n, k0 % 1000])
+    f, g = (Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                   mode) for _ in range(2))
+    ref = _stft_quadrature(f, g)
+    V = stft(f, g)
+    assert np.max(np.abs(V.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert V.x_grid == grid
+    assert np.allclose(V.w_grid.nodes(), dft_frequencies(grid), rtol=0,
+                       atol=1e-12 / grid.step)
 
 
 def test_moyal_identity_random():
