@@ -295,8 +295,9 @@ def _run(args) -> int:
 
     if args.command == "approxid":
         f = _read_signal(args.infile, "compact")
-        errs = approx_identity_run(P, f, lambda x: np.exp(-np.pi * x * x),
-                                   args.eps, r=args.r)
+        with _input(args.infile):  # the file's grid fixes the mass and the lattice
+            errs = approx_identity_run(P, f, lambda x: np.exp(-np.pi * x * x),
+                                       args.eps, r=args.r)
         for e, v in zip(args.eps, errs):
             print(f"eps={e:g} error={v:.6e}")
         return 0
@@ -326,7 +327,8 @@ def _run(args) -> int:
         elif args.chirp is not None:
             out = chirp(f, args.chirp)
         else:
-            out = involution(f)
+            with _input(args.infile):  # compact mode needs a symmetric grid
+                out = involution(f)
         _write_signal(out, args.outfile)
         return 0
 

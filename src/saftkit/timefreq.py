@@ -5,6 +5,17 @@ signal grid and frequencies over the whole centered DFT grid, which makes
 the discrete Moyal identity exact in cyclic mode.  Modulation-space norms
 are computed through the STFT via f * M_w g(x) = exp(2 pi i w x)
 V_{g~} f(x, w) with the flipped window g~(t) = conj(g(-t)).
+
+No kernel here evaluates an N x N table of exponentials or modulo indices.
+Modulating by a lattice frequency shifts a DFT cyclically (the shift
+identity behind V_g f(x, w) = e^{-2 pi i x w} V_{g^} f^(w, -x)), so
+a_mod_norm reads every modulated window's spectrum from one FFT, and the
+STFT reads its window rows from a strided view of one padded window.  The
+two norms stay on independent kernels: a_mod_norm works on the frequency
+side (inverse FFTs of spectrum products), mod_norm on the time side (FFTs
+of windowed products), which is what makes their scaling identity a test.
+Both reduce row blocks as they are made, so they run at any N in bounded
+memory; STFT_MAX_COUNT bounds only stft, which returns the whole table.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
@@ -19,11 +31,12 @@ from .grid import Grid, Signal, _pairs, _require_same_grid
 from .operators import a_modulate, a_translate, chirp, involution
 from .params import SaftParams, WeightSpec, pre_chirp, quad_chirp, weight_eval
 
-# stft builds several dense N x N complex tables: 256 MiB each at this limit.
+# stft returns a dense N x N complex table: 256 MiB at this limit.  The
+# norms never build it, so the limit does not apply to them.
 STFT_MAX_COUNT = 4096
-# a_mod_norm works in blocks of frequency rows of at most this many complex
-# values (4 MiB per table), so N <= 512 is one block.
-AMOD_BLOCK_ENTRIES = 2 ** 18
+# The STFT row helper and a_mod_norm work in blocks of rows of at most this
+# many complex values (4 MiB per table), so N <= 512 is one block.
+TF_BLOCK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -40,35 +53,62 @@ class TFMatrix:
             raise ValueError("value matrix must match the lattice")
 
 
-def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
-    """V(x_m, xi_k) = dt * sum_n f(t_n) conj(g(t_n - x_m)) e^{-2 pi i xi_k t_n}.
+def _freq_grid(grid: Grid) -> Grid:
+    """The centered DFT frequency lattice of the STFT, step 1 / (N dt)."""
+    return Grid(float(dft_frequencies(grid)[0]), 1.0 / grid.span, grid.count)
 
-    One FFT per window position, batched.  Cyclic mode wraps the window
-    (needed for the exact full-lattice Moyal identity); compact mode
-    zero-fills outside the grid.  N above STFT_MAX_COUNT is rejected
-    before any N x N table is built.
+
+def _stft_rows(f: Signal, g: Signal):
+    """Yield (lo, block) with block[i, k] = V(x_{lo+i}, xi_k), in row blocks
+    of at most TF_BLOCK_ENTRIES values.
+
+    Row m needs conj(g) at sample n - m - k0 for n = 0..N-1: a window of
+    the doubled conj(g) in cyclic mode, or of the zero-padded one in
+    compact mode, gathered from a strided view.  The centring phase
+    exp(2 pi i n floor(N/2) / N) on f puts each FFT row in centered order,
+    and dt times the grid-origin phase is one column multiply.
     """
     _require_same_grid(f, g)
     grid = f.grid
     n = grid.count
-    if n > STFT_MAX_COUNT:
-        raise ValueError(f"stft builds dense N x N tables; N = {n} is above "
-                         f"the limit of {STFT_MAX_COUNT} samples")
     k0 = grid.steps_of(grid.start, "STFT needs the grid origin on the step lattice")
-    m_idx = np.arange(n)[:, None]
-    j = np.arange(n)[None, :] - m_idx - k0
+    cg = np.conj(g.samples)
+    m = np.arange(n)
     if f.mode == "cyclic":
-        win = np.conj(g.samples[j % n])
+        padded, first = np.concatenate((cg, cg)), (-m - k0) % n
     else:
-        win = np.zeros((n, n), dtype=complex)
-        ok = (j >= 0) & (j < n)
-        win[ok] = np.conj(g.samples[j[ok]])
-    prod = f.samples[None, :] * win
-    xi = dft_frequencies(grid)
-    vals = (grid.step * np.exp(-2j * np.pi * xi * grid.start)[None, :]
-            * np.fft.fftshift(np.fft.fft(prod, axis=1), axes=1))
-    w_grid = Grid(float(xi[0]), 1.0 / grid.span, n)
-    return TFMatrix(grid, w_grid, vals, window_id)
+        zero = np.zeros(n, dtype=complex)
+        # a window starting outside [0, 2N] lies wholly in the zero padding
+        padded, first = np.concatenate((zero, cg, zero)), np.clip(n - m - k0, 0, 2 * n)
+    windows = sliding_window_view(padded, n)
+    fc = f.samples * np.exp(2j * np.pi / n * (m * (n // 2) % n))
+    col = grid.step * np.exp(-2j * np.pi * dft_frequencies(grid) * grid.start)
+    rows = max(1, TF_BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        block = windows[first[lo:lo + rows]]
+        block *= fc
+        block = np.fft.fft(block, axis=1)
+        block *= col
+        yield lo, block
+
+
+def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
+    """V(x_m, xi_k) = dt * sum_n f(t_n) conj(g(t_n - x_m)) e^{-2 pi i xi_k t_n}.
+
+    One FFT per window position, batched over row blocks.  Cyclic mode
+    wraps the window (needed for the exact full-lattice Moyal identity);
+    compact mode zero-fills outside the grid.  N above STFT_MAX_COUNT is
+    rejected before the N x N table is allocated.
+    """
+    grid = f.grid
+    n = grid.count
+    if n > STFT_MAX_COUNT:
+        raise ValueError(f"stft returns a dense N x N table; N = {n} is above "
+                         f"the limit of {STFT_MAX_COUNT} samples")
+    vals = np.empty((n, n), dtype=complex)
+    for lo, block in _stft_rows(f, g):
+        vals[lo:lo + len(block)] = block
+    return TFMatrix(grid, _freq_grid(grid), vals, window_id)
 
 
 def moyal_energy(V: TFMatrix) -> float:
@@ -122,10 +162,11 @@ def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
     lhs = stft(chirp(f, s), chirp(g, s)).values
     x = f.grid.nodes()
     n = f.grid.count
-    rhs = np.empty_like(lhs)
-    for m in range(n):
-        rhs[m] = (np.exp(-1j * np.pi * s * x[m] * x[m])
-                  * np.roll(V0.values[m], shear_base + m * shear_step))
+    # row m of the right side is row m of V0 rolled by shear_base + m * shear_step
+    shift = shear_base + np.arange(n) * shear_step
+    cols = (np.arange(n)[None, :] - shift[:, None]) % n
+    rhs = (np.exp(-1j * np.pi * s * x * x)[:, None]
+           * np.take_along_axis(V0.values, cols, axis=1))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -199,31 +240,41 @@ def _check_exponents(r: float, s: float):
 def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     """Mixed-norm modulation quantity over the full lattice.
 
-    (int (int |f * M_w g(x)|^r m(x,w)^r dx)^{s/r} dw)^{1/s}, computed as one
-    STFT against the flipped window.
+    (int (int |f * M_w g(x)|^r m(x,w)^r dx)^{s/r} dw)^{1/s}, computed as the
+    STFT against the flipped window.  STFT row blocks are reduced as they
+    are made into per-frequency partial sums over x, so memory stays
+    bounded at any N.
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:
         raise ValueError("window must be nonzero")
-    V = stft(f, window_flip(g))
-    x = V.x_grid.nodes()[:, None]
-    w = V.w_grid.nodes()[None, :]
-    wgt = weight_eval(m, x, w)
-    inner = V.x_grid.step * np.sum((np.abs(V.values) * wgt) ** r, axis=0)
-    return float((V.w_grid.step * np.sum(inner ** (s / r))) ** (1.0 / s))
+    grid = f.grid
+    x = grid.nodes()[:, None]
+    w = _freq_grid(grid).nodes()[None, :]
+    acc = np.zeros(grid.count)
+    for lo, block in _stft_rows(f, window_flip(g)):
+        mag = np.abs(block)
+        mag *= weight_eval(m, x[lo:lo + len(block)], w)
+        acc += np.sum(mag ** r, axis=0)
+    inner = grid.step * acc
+    dw = 1.0 / grid.span
+    return float((dw * np.sum(inner ** (s / r))) ** (1.0 / s))
 
 
 def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
                r: float, s: float, m: WeightSpec) -> float:
     """Twisted modulation norm: the mixed norm of |f *A M^A_w g(x)|.
 
-    Batched form of a_mod_norm_oracle, with the same arithmetic per
-    frequency: f is chirped and transformed once, then each block of
-    frequency rows builds the chirped, A-modulated windows as one matrix,
-    takes one FFT and one inverse FFT along the rows, and reduces them
-    with the weight evaluated on the twisted-side lattice w = b * xi.
-    A block holds at most AMOD_BLOCK_ENTRIES complex values, so memory
-    stays bounded at any N.
+    Frequency-side form of a_mod_norm_oracle.  At w_k = b xi_k the
+    A-modulation multiplies g by a unimodular row constant times
+    exp(2 pi i (k - floor(N/2)) n / N), so the transform of the chirped,
+    modulated window is G = fft(quad_chirp g) shifted cyclically by
+    k - floor(N/2).  Each block of frequency rows reads G through a
+    strided view of the doubled G, multiplies by U = fft(quad_chirp f) and
+    takes one inverse FFT along the rows; the unimodular constants drop out
+    of |.|.  The weight is evaluated on the twisted-side lattice w = b xi.
+    A block holds at most TF_BLOCK_ENTRIES complex values, so memory stays
+    bounded at any N.
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:
@@ -237,17 +288,22 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     omegas = params.b * dft_frequencies(grid)
     qc = quad_chirp(params, x)
     U = np.fft.fft(qc * f.samples)
-    post = grid.step / np.sqrt(abs(params.b)) * np.conj(qc)
+    G = np.fft.fft(qc * g.samples)
+    windows = sliding_window_view(np.concatenate((G, G)), n)
+    first = (n // 2 - np.arange(n)) % n  # row k reads G[(j - k + N/2) mod N]
+    # inverse-FFT index j holds the convolution at x_{(j + k0) mod N}, and
+    # the output chirp has modulus dt / sqrt|b|
+    xj = x[(np.arange(n) + k0) % n]
+    scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
-    rows = max(1, AMOD_BLOCK_ENTRIES // n)
+    rows = max(1, TF_BLOCK_ENTRIES // n)
     for lo in range(0, n, rows):
-        w = omegas[lo:lo + rows, None]
-        phase = np.exp(1j * np.pi / params.b
-                       * (params.a * w * w - 2.0 * params.p * w + 2.0 * w * x))
-        V = np.fft.fft(qc * (phase * g.samples), axis=1)
-        conv = post * np.roll(np.fft.ifft(U * V, axis=1), k0, axis=1)
-        wgt = weight_eval(m, x, w)
-        inner[lo:lo + rows] = grid.step * np.sum((np.abs(conv) * wgt) ** r, axis=1)
+        block = windows[first[lo:lo + rows]]
+        block *= U
+        conv = np.abs(np.fft.ifft(block, axis=1))
+        conv *= weight_eval(m, xj, omegas[lo:lo + rows, None])
+        inner[lo:lo + rows] = np.sum(conv ** r, axis=1)
+    inner *= grid.step * scale ** r
     dxi = 1.0 / grid.span
     return float((abs(params.b) * dxi * np.sum(inner ** (s / r))) ** (1.0 / s))
 

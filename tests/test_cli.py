@@ -132,11 +132,38 @@ def test_cli_inputs_on_different_grids_exit_2(tmp_path, capsys):
     assert "signals must share a grid" in capsys.readouterr().err
 
 
-def test_cli_library_errors_keep_their_traceback(tmp_path):
+def test_cli_library_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # a ValueError from library code that no input check wraps is a fault,
+    # not bad input: it must surface as a traceback, not as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("injected library fault")
+
+    monkeypatch.setattr("saftkit.cli.heat_evolve", broken)
     path = str(tmp_path / "f.json")
-    save_signal(Signal(Grid(-5.0, 0.125, 64), np.ones(64), "compact"), path)
-    with pytest.raises(ValueError, match="symmetric about 0"):
-        main(["op", "--involute", "--in", path, "--out", str(tmp_path / "g.json")])
+    save_signal(Signal(Grid(-4.0, 0.125, 64), np.ones(64), "cyclic"), path)
+    with pytest.raises(ValueError, match="injected library fault"):
+        main(["heat", "--t", "0.1", "--in", path, "--out", str(tmp_path / "g.json")])
+
+
+@pytest.mark.parametrize("start, argv, message", (
+    # default --eps at step 20/256: width 0.125 has quadrature mass 1.00064
+    (-10.0, ["approxid"], "quadrature mass"),
+    (-10.0 + 10.0 / 256, ["approxid", "--eps", "1,0.5"],
+     "grid origin on the step lattice"),
+    (-5.0, ["op", "--involute", "--out", "OUT"], "symmetric about 0"),
+), ids=("approxid-eps", "approxid-off-lattice", "op-involute-asymmetric"))
+def test_cli_bad_grids_exit_2(start, argv, message, tmp_path, capsys):
+    n = 256 if argv[0] == "approxid" else 64
+    step = 20.0 / 256 if argv[0] == "approxid" else 0.125
+    path = str(tmp_path / "f.json")
+    save_signal(Signal(Grid(start, step, n), np.ones(n), "compact"), path)
+    out = tmp_path / "g.json"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main([*argv, "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"saftkit {argv[0]}: error: {path}: ")
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", ("--translate", "--a-translate"))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import chirp
 from saftkit.params import (fourier_params, freq_scaled_weight, frft_params,
                             make_params, radial_weight, sheared_weight,
-                            transported_weight, unit_weight)
-from saftkit.timefreq import (AMOD_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
+                            transported_weight, unit_weight, weight_eval)
+from saftkit import timefreq
+from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               a_covariance_check, a_mod_norm,
                               a_mod_norm_oracle,
                               chirp_stft_covariance_check, gaussian_window,
@@ -287,7 +289,7 @@ def test_a_mod_norm_matches_oracle_generated(case):
 
 def test_a_mod_norm_matches_oracle_across_row_blocks():
     n = 1536
-    rows = AMOD_BLOCK_ENTRIES // n
+    rows = TF_BLOCK_ENTRIES // n
     assert n > rows and n % rows != 0  # several blocks, the last one partial
     grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
     f = gaussian_mixture_family(grid, 1, 78)[0]
@@ -296,6 +298,102 @@ def test_a_mod_norm_matches_oracle_across_row_blocks():
     fast = a_mod_norm(GENERIC, f, g, 2.0, 3.0, m)
     assert fast == pytest.approx(a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, m),
                                  rel=1e-12)
+
+
+def _whole_table_mod_norm(f, g, r, s, m):
+    """The mixed norm reduced from the whole STFT table against the flipped window."""
+    V = stft(f, window_flip(g))
+    wgt = weight_eval(m, V.x_grid.nodes()[:, None], V.w_grid.nodes()[None, :])
+    inner = V.x_grid.step * np.sum((np.abs(V.values) * wgt) ** r, axis=0)
+    return (V.w_grid.step * np.sum(inner ** (s / r))) ** (1.0 / s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=amod_cases())
+def test_mod_norm_matches_whole_table_generated(case):
+    _, f, g, r, s, weight = case
+    ref = _whole_table_mod_norm(f, g, r, s, weight)
+    assert abs(mod_norm(f, g, r, s, weight) - ref) <= 1e-12 * ref
+
+
+def test_mod_norm_matches_whole_table_across_row_blocks():
+    n = 1536
+    rows = TF_BLOCK_ENTRIES // n
+    assert n > rows and n % rows != 0  # several blocks, the last one partial
+    grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
+    f = gaussian_mixture_family(grid, 1, 79)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    assert (mod_norm(f, g, 2.0, 3.0, m)
+            == pytest.approx(_whole_table_mod_norm(f, g, 2.0, 3.0, m), rel=1e-12))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the two modulation norms must not share a kernel")
+
+
+def test_a_mod_norm_uses_no_stft(monkeypatch):
+    grid = Grid(-3.3, 0.1, 67)
+    f = gaussian_mixture_family(grid, 1, 80)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    ref = a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, m)
+    monkeypatch.setattr(timefreq, "stft", _raise)
+    monkeypatch.setattr(timefreq, "_stft_rows", _raise)
+    assert a_mod_norm(GENERIC, f, g, 2.0, 3.0, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_mod_norm_uses_no_a_mod_norm(monkeypatch):
+    grid = Grid(-3.3, 0.1, 67)
+    f = gaussian_mixture_family(grid, 1, 81)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    ref = _whole_table_mod_norm(f, g, 2.0, 3.0, m)
+    monkeypatch.setattr(timefreq, "a_mod_norm", _raise)
+    monkeypatch.setattr(timefreq, "a_mod_norm_oracle", _raise)
+    monkeypatch.setattr(timefreq, "quad_chirp", _raise)
+    assert mod_norm(f, g, 2.0, 3.0, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_norm_kernels_take_linearly_many_exponentials(monkeypatch):
+    n = 512
+    grid = centered_grid(10.0, n)
+    f = gaussian_mixture_family(grid, 1, 82)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    exp = np.exp
+    count = [0]
+
+    def counting_exp(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    a_mod_norm(GENERIC, f, g, 2.0, 3.0, m)
+    assert 0 < count[0] <= 4 * n
+    count[0] = 0
+    stft(f, g)
+    assert 0 < count[0] <= 4 * n
+
+
+@pytest.mark.parametrize("norm", ("mod_norm", "a_mod_norm"))
+def test_norms_run_above_the_stft_limit_in_bounded_memory(norm):
+    # the whole STFT table at this size would be 1 GiB
+    n = 8192
+    assert n > STFT_MAX_COUNT
+    grid = centered_grid(10.0, n)
+    f = gaussian_mixture_family(grid, 1, 83)[0]
+    g = gaussian_window(grid)
+    tracemalloc.start()
+    try:
+        value = (mod_norm(f, g, 2.0, 2.0, unit_weight()) if norm == "mod_norm"
+                 else a_mod_norm(GENERIC, f, g, 2.0, 2.0, unit_weight()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # at r = s = 2 with the unit weight both norms are ||f||_2 ||g||_2 (Moyal)
+    assert value == pytest.approx(lr_norm(f, 2) * lr_norm(g, 2), rel=1e-9)
 
 
 def test_stft_rejects_sizes_above_the_limit():
