@@ -8,9 +8,9 @@ fast path, and a verification battery that exercises the operator
 identities at desk scale.
 """
 
-from .params import (SaftParams, make_params, special_params, fourier_params,
-                     frft_params, fresnel_params, lct_params, pre_chirp,
-                     post_chirp, quad_chirp, WeightSpec, unit_weight,
+from .params import (InputError, SaftParams, make_params, special_params,
+                     fourier_params, frft_params, fresnel_params, lct_params,
+                     pre_chirp, post_chirp, quad_chirp, WeightSpec, unit_weight,
                      radial_weight, transported_weight, freq_scaled_weight,
                      sheared_weight, weight_eval, weight_equiv_bounds)
 from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, Signal, lr_norm, _require_same_grid
-from .params import SaftParams, post_chirp, quad_chirp
+from .params import InputError, SaftParams, post_chirp, quad_chirp
 from .engine import saft
 
 
@@ -72,7 +72,7 @@ def aconv_fast(params: SaftParams, f: Signal, g: Signal,
         w = np.roll(np.fft.ifft(np.fft.fft(u) * np.fft.fft(v)), k0)
         out = scale * np.conj(quad_chirp(params, f.grid.nodes())) * w
         return Signal(f.grid, out, "cyclic")
-    raise ValueError(f"unknown mode: {mode!r}")
+    raise InputError(f"unknown mode: {mode!r}")
 
 
 def crop_to_grid(h: Signal, grid: Grid) -> Signal:
@@ -98,15 +98,17 @@ def approx_identity_run(params: SaftParams, f: Signal, phi_fn,
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise InputError("eps_list must be strictly decreasing")
+    if not all(e > 0 for e in eps_list):  # also rejects NaN
+        raise InputError("mollifier widths must be positive")
     t = f.grid.nodes()
     base = Signal(f.grid, f.samples, "compact")
     errors = []
     for eps in eps_list:
         phi_vals = np.asarray(phi_fn(t / eps), dtype=complex) / eps
         mass = f.grid.step * phi_vals.sum()
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"mollifier has quadrature mass {mass}, expected 1")
+        if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
+            raise InputError(f"mollifier has quadrature mass {mass}, expected 1")
         phi = Signal(f.grid, phi_vals, "compact")
         conv = crop_to_grid(aconv_fast(params, base, phi, "compact"), f.grid)
         diff = np.sqrt(abs(params.b)) * conv.samples - f.samples
@@ -122,11 +124,11 @@ def young_check(params: SaftParams, f: Signal, g: Signal,
     and the weighted discrete Young inequality is sharp, so the pass margin
     only absorbs rounding.
     """
-    if r < 1 or s < 1:
-        raise ValueError("exponents must satisfy r, s >= 1")
+    if not (r >= 1 and s >= 1):  # also rejects NaN
+        raise InputError("exponents must satisfy r, s >= 1")
     inv_t = 1.0 / r + 1.0 / s - 1.0
     if inv_t < -1e-12:
-        raise ValueError("inadmissible exponents: 1/r + 1/s must be >= 1")
+        raise InputError("inadmissible exponents: 1/r + 1/s must be >= 1")
     t = np.inf if inv_t <= 1e-15 else 1.0 / inv_t
     conv = aconv_fast(params, f, g, "compact")
     lhs = lr_norm(conv, t)

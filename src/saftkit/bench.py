@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import make_plan, saft_fast, saft_oracle
 from .grid import Signal, centered_grid
-from .params import SaftParams
+from .params import InputError, SaftParams
 
 ORACLE_CAP = 4096
 
@@ -38,9 +38,11 @@ def _time_call(fn, repeats: int, min_time: float = 2e-3) -> float:
 
 def run_bench(params: SaftParams, sizes, repeats: int = 5) -> list[dict]:
     """Wall time per transform for each size; oracle skipped above the cap."""
+    if repeats < 1:
+        raise InputError("repeats must be at least 1")
     sizes = list(sizes)
     if sizes != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+        raise InputError("sizes must be ascending")
     rng = np.random.default_rng(0)
     rows = []
     for n in sizes:

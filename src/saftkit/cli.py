@@ -1,17 +1,17 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over library operations; no numerical
-logic and no file format lives here: every file is read and written by the
-grid module.  Exit codes: 0 success, 1 a check failed
-(`verify`, `young`), 2 bad input or usage, with a one-line message on
-stderr.
+Every subcommand is a thin shell over library operations: no numerical
+logic, file format or input precondition lives here.  Exit codes: 0
+success, 1 a check failed (`verify`, `young`), 2 bad input or usage.
+`main` turns the library's InputError, or an OSError on a named file,
+into one `saftkit CMD: error: FILE: MESSAGE` line on stderr; any other
+exception is a fault of the program and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .multipliers import (LPBank, SymbolSpec, apply_multiplier, dyadic_bump,
                           square_function)
 from .operators import (a_modulate, a_translate, chirp, involution, modulate,
                         translate)
-from .params import SaftParams, make_params, radial_weight, special_params, unit_weight
+from .params import (InputError, SaftParams, make_params, radial_weight,
+                     special_params, unit_weight)
 from .timefreq import (a_mod_norm, gaussian_window, mod_norm,
                        raised_cosine_window, stft, tf_to_dict)
 from .verify import VALID_SIZES, run_verify
@@ -86,39 +87,39 @@ def list_of(convert):
     return parse
 
 
-class InputError(Exception):
-    """An unreadable or malformed input; `main` reports it and exits 2."""
+def _checked(convert, ok, name: str):
+    """argparse type: `convert`, then reject a value `ok` refuses."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
 
 
-@contextmanager
-def _input(path: str):
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+finite_float = _checked(float, np.isfinite, "finite float")
+non_negative_int = _checked(int, lambda k: k >= 0, "non-negative int")
 
 
 def _read_signal(path: str, mode: str | None = None) -> Signal:
-    with _input(path):
-        f = load_signal_csv(path) if path.endswith(".csv") else load_signal(path)
+    f = load_signal_csv(path) if path.endswith(".csv") else load_signal(path)
     if mode is not None and mode != f.mode:
         f = Signal(f.grid, f.samples, mode)
     return f
 
 
-def _read_pair(paths, mode: str) -> tuple[Signal, Signal]:
-    f, g = (_read_signal(path, mode) for path in paths)
-    if not f.grid.same_as(g.grid):
-        raise InputError(f"{paths[0]} and {paths[1]}: signals must share a grid, "
-                         f"got {f.grid} and {g.grid}")
-    return f, g
+def _read_pair(paths, mode: str) -> list[Signal]:
+    signals = []
+    for path in paths:
+        try:
+            signals.append(_read_signal(path, mode))
+        except InputError as exc:  # `main` names the --in file only
+            raise InputError(f"{path}: {exc}") from exc
+    return signals
 
 
 def _write_signal(f: Signal, path: str):
-    if path.endswith(".csv"):
-        save_signal_csv(f, path)
-    else:
-        save_signal(f, path)
+    (save_signal_csv if path.endswith(".csv") else save_signal)(f, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("op", help="apply one lattice operator")
     common(p)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--translate", type=float)
-    grp.add_argument("--a-translate", type=float, dest="a_translate")
-    grp.add_argument("--modulate", type=float)
-    grp.add_argument("--a-modulate", type=float, dest="a_modulate")
-    grp.add_argument("--chirp", type=float)
+    grp.add_argument("--translate", type=finite_float)
+    grp.add_argument("--a-translate", type=finite_float, dest="a_translate")
+    grp.add_argument("--modulate", type=finite_float)
+    grp.add_argument("--a-modulate", type=finite_float, dest="a_modulate")
+    grp.add_argument("--chirp", type=finite_float)
     grp.add_argument("--involute", action="store_true")
 
     p = sub.add_parser("opB", help="twisted derivative operator")
@@ -222,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, inp=False, out=False)
     p.add_argument("--kind", choices=("lp", "hormander"), required=True)
     p.add_argument("-r", type=float, default=2.0)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--count", type=non_negative_int, default=8)
+    p.add_argument("--seed", type=non_negative_int, default=42)
     p.add_argument("--size", type=int, default=512)
 
     p = sub.add_parser("verify", help="run the identity battery")
     common(p, inp=False, out=False)
     p.add_argument("--size", type=int, default=512, choices=VALID_SIZES)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=non_negative_int, default=42)
     p.add_argument("--tiers", type=list_of(int), default=[1, 2, 3])
     p.add_argument("--json", action="store_true", dest="as_json")
     p.add_argument("--no-bench", action="store_true",
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=("spectrum_magnitude", "tf_magnitude", "lp_blocks",
                             "heat_snapshots"))
-    p.add_argument("--t", type=list_of(float), default=[0.05, 0.2],
+    p.add_argument("--t", type=list_of(finite_float), default=[0.05, 0.2],
                    help="heat snapshot times")
     window(p)
     return top
@@ -256,8 +257,14 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except InputError as exc:
-        print(f"saftkit {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        where, message = getattr(args, "infile", None), exc
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        where, message = exc.filename, exc.strerror
+    where = f"{where}: " if where else ""
+    print(f"saftkit {args.command}: error: {where}{message}", file=sys.stderr)
+    return 2
 
 
 def _run(args) -> int:
@@ -272,15 +279,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "isaft":
-        with _input(args.infile):
-            F = load_spectrum(args.infile)
+        F = load_spectrum(args.infile)
         n = F.freq_grid.count
         dt = abs(F.params.b) / (n * F.freq_grid.step)  # grid-coupling identity
-        if args.start is not None:
-            start = args.start
-        elif F.time_start is not None:
-            start = F.time_start
-        else:
+        start = args.start if args.start is not None else F.time_start
+        if start is None:
             start = -n * dt / 2.0
         plan = make_plan(F.params, Grid(start, dt, n))
         _write_signal(isaft(plan, F, args.mode), args.outfile)
@@ -295,9 +298,8 @@ def _run(args) -> int:
 
     if args.command == "approxid":
         f = _read_signal(args.infile, "compact")
-        with _input(args.infile):  # the file's grid fixes the mass and the lattice
-            errs = approx_identity_run(P, f, lambda x: np.exp(-np.pi * x * x),
-                                       args.eps, r=args.r)
+        errs = approx_identity_run(P, f, lambda x: np.exp(-np.pi * x * x),
+                                   args.eps, r=args.r)
         for e, v in zip(args.eps, errs):
             print(f"eps={e:g} error={v:.6e}")
         return 0
@@ -311,11 +313,6 @@ def _run(args) -> int:
 
     if args.command == "op":
         f = _read_signal(args.infile)
-        shift = args.translate if args.translate is not None else args.a_translate
-        if shift is not None:
-            with _input(args.infile):  # the file's grid fixes the lattice
-                f.grid.steps_of(shift, f"shift {shift!r} is not a multiple of "
-                                       "the grid step")
         if args.translate is not None:
             out = translate(f, args.translate)
         elif args.a_translate is not None:
@@ -327,8 +324,7 @@ def _run(args) -> int:
         elif args.chirp is not None:
             out = chirp(f, args.chirp)
         else:
-            with _input(args.infile):  # compact mode needs a symmetric grid
-                out = involution(f)
+            out = involution(f)
         _write_signal(out, args.outfile)
         return 0
 

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, Signal, Spectrum
-from .params import SaftParams, post_chirp
+from .params import InputError, SaftParams, post_chirp
 
 _ORACLE_CHUNK = 256
 # make_plan keeps at most this many plans, whose tables add up to at most
@@ -154,7 +154,7 @@ def _build_plan(params: SaftParams, grid: Grid) -> SaftPlan:
 def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
     """O(N log N) transform: post * fft(pre * f), reversed when b < 0."""
     if not plan.grid.same_as(f.grid):
-        raise ValueError("plan was built for a different grid")
+        raise InputError("plan was built for a different grid")
     vals = np.fft.fft(plan.pre * f.samples)
     vals *= plan.post
     if plan.flip:
@@ -198,7 +198,7 @@ def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
     isaft(saft_fast(f)) reproduces f to rounding.
     """
     if not plan.freq_grid.same_as(F.freq_grid):
-        raise ValueError("spectrum was not produced on the plan's grids")
+        raise InputError("spectrum was not produced on the plan's grids")
     vals = np.fft.ifft((F.samples[::-1] if plan.flip else F.samples) / plan.post)
     vals /= plan.pre
     return Signal(plan.grid, vals, mode)
@@ -211,7 +211,7 @@ def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:
     finite.  The output keeps the boundary mode of f.
     """
     if not np.all(np.isfinite(values)):
-        raise ValueError("symbol takes non-finite values on the grid")
+        raise InputError("symbol takes non-finite values on the grid")
     F = saft_fast(plan, f)
     return isaft(plan, Spectrum(plan.params, F.freq_grid, values * F.samples),
                  f.mode)
@@ -251,7 +251,7 @@ def sinc_reference(params: SaftParams, omega, shape: str = "centered_interval"):
         us = np.where(small, 1.0, u)
         core = np.where(small, 1.0, (1.0 - np.exp(-2j * np.pi * us)) / (2j * np.pi * us))
         return head * core
-    raise ValueError(f"unknown reference shape: {shape!r}")
+    raise InputError(f"unknown reference shape: {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def twisted_derivative(params: SaftParams, f: Signal,
     if method == "finite_difference":
         n = f.grid.count
         if n < 8:
-            raise ValueError("finite differences need at least 8 samples")
+            raise InputError("finite differences need at least 8 samples")
         s = f.samples
         if f.mode == "cyclic":
             deriv = (np.roll(s, -1) - np.roll(s, 1)) / (2.0 * f.grid.step)
@@ -285,7 +285,7 @@ def twisted_derivative(params: SaftParams, f: Signal,
             deriv[-1] = (0.0 - s[-2]) / (2.0 * f.grid.step)
         t = f.grid.nodes()
         return f.with_samples(deriv + 2j * np.pi * params.a / params.b * t * s)
-    raise ValueError(f"unknown method: {method!r}")
+    raise InputError(f"unknown method: {method!r}")
 
 
 def heat_evolve(params: SaftParams, g: Signal, t: float,
@@ -301,7 +301,7 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
     chirps multiply as vectors.  It calls no FFT and uses no plan.
     """
     if not (t > 0):
-        raise ValueError("evolution time must be positive")
+        raise InputError("evolution time must be positive")
     if method == "multiplier":
         plan = make_plan(params, g.grid)
         w = plan.freq_grid.nodes()
@@ -322,4 +322,4 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
             out[lo:lo + i.size] = (rows[n - 1 - i] @ gy).view(complex).ravel()
         out *= np.exp(-1j * np.pi * rate * y * y) * (dt / np.sqrt(4.0 * np.pi * t))
         return g.with_samples(out)
-    raise ValueError(f"unknown method: {method!r}")
+    raise InputError(f"unknown method: {method!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import SaftParams
+from .params import InputError, SaftParams
 
 MODES = ("compact", "cyclic")
 
@@ -30,12 +30,12 @@ class Grid:
 
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.step)):
-            raise ValueError(f"grid start and step must be finite, got "
+            raise InputError(f"grid start and step must be finite, got "
                              f"{self.start!r} and {self.step!r}")
         if not (self.step > 0):
-            raise ValueError("grid step must be positive")
+            raise InputError("grid step must be positive")
         if self.count < 2:
-            raise ValueError("grid needs at least two nodes")
+            raise InputError("grid needs at least two nodes")
 
     def nodes(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -52,13 +52,13 @@ class Grid:
         """x / step as an int, for a length that must lie on the step lattice.
 
         Accepts |m - round(m)| <= 1e-9 * max(1, |m|) with m = x / step and
-        otherwise raises a ValueError that opens with `what`, which should
+        otherwise raises an InputError that opens with `what`, which should
         name the quantity and the step it must be a multiple of.
         """
         m = x / self.step
         k = int(round(m))
         if abs(m - k) > 1e-9 * max(1.0, abs(m)):
-            raise ValueError(f"{what} (off by {m - k:+.3g} of the step {self.step!r})")
+            raise InputError(f"{what} (off by {m - k:+.3g} of the step {self.step!r})")
         return k
 
     def same_as(self, other: "Grid") -> bool:
@@ -71,12 +71,14 @@ class Grid:
         """Index of the node at position t; rejects off-grid positions."""
         k = self.steps_of(t - self.start, f"position {t} is not on the grid")
         if not (0 <= k < self.count):
-            raise ValueError(f"position {t} lies outside the grid")
+            raise InputError(f"position {t} lies outside the grid")
         return k
 
 
 def centered_grid(half_width: float, count: int) -> Grid:
     """Grid covering [-half_width, half_width) with the given node count."""
+    if count < 2:  # checked here, before dividing by count
+        raise InputError("grid needs at least two nodes")
     step = 2.0 * half_width / count
     return Grid(-half_width, step, count)
 
@@ -97,10 +99,10 @@ class Signal:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InputError(f"mode must be one of {MODES}")
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.grid.count,):
-            raise ValueError("sample count must match the grid")
+            raise InputError("sample count must match the grid")
         object.__setattr__(self, "samples", arr)
 
     def with_samples(self, samples: np.ndarray) -> "Signal":
@@ -128,7 +130,7 @@ class Spectrum:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.freq_grid.count,):
-            raise ValueError("sample count must match the frequency grid")
+            raise InputError("sample count must match the frequency grid")
         object.__setattr__(self, "samples", arr)
 
 
@@ -139,7 +141,7 @@ def sample(fn, grid: Grid, mode: str = "compact") -> Signal:
     if vals.shape != t.shape:
         vals = np.array([fn(x) for x in t], dtype=complex)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("sampled values must be finite")
+        raise InputError("sampled values must be finite")
     return Signal(grid, vals, mode)
 
 
@@ -160,8 +162,8 @@ def indicator(lo: float, hi: float):
 
 def lr_norm(f: Signal, r: float) -> float:
     """Quadrature L^r norm (step * sum |f|^r)^(1/r); r = inf gives max |f|."""
-    if r < 1:
-        raise ValueError("norm exponent must satisfy r >= 1")
+    if not r >= 1:  # also rejects NaN
+        raise InputError("norm exponent must satisfy r >= 1")
     mag = np.abs(f.samples)
     if np.isinf(r):
         return float(mag.max(initial=0.0))
@@ -170,8 +172,8 @@ def lr_norm(f: Signal, r: float) -> float:
 
 def spectrum_norm(F: Spectrum, r: float) -> float:
     """Quadrature L^r norm of a spectrum with the frequency step as weight."""
-    if r < 1:
-        raise ValueError("norm exponent must satisfy r >= 1")
+    if not r >= 1:  # also rejects NaN
+        raise InputError("norm exponent must satisfy r >= 1")
     mag = np.abs(F.samples)
     if np.isinf(r):
         return float(mag.max(initial=0.0))
@@ -201,9 +203,9 @@ def tail_mass(f: Signal, frac: float = 0.05) -> float:
 
 def _require_same_grid(f: Signal, g: Signal):
     if not f.grid.same_as(g.grid):
-        raise ValueError("signals must share a grid")
+        raise InputError("signals must share a grid")
     if f.mode != g.mode:
-        raise ValueError("signals must share a boundary mode")
+        raise InputError("signals must share a boundary mode")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,8 @@ def _require_same_grid(f: Signal, g: Signal):
 # Spectrum JSON embeds the parameter object alongside the same layout, plus
 # "time_start", the origin of the source time grid, when the spectrum
 # knows it.  CSV alternative: rows "t,re,im" with a uniform t column.
-# The loaders reject non-finite samples and grid values.  Every file the
+# The loaders reject non-finite samples and grid values, and raise
+# InputError on any file they cannot parse.  Every file the
 # package writes goes through save_json or save_columns_csv.
 
 def _pairs(arr: np.ndarray) -> list:
@@ -223,7 +226,7 @@ def _pairs(arr: np.ndarray) -> list:
 def _finite_samples(arr: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"sample {bad[0]} of {arr.size} is not finite: {arr[bad[0]]}")
+        raise InputError(f"sample {bad[0]} of {arr.size} is not finite: {arr[bad[0]]}")
     return arr
 
 
@@ -231,7 +234,7 @@ def _from_pairs(pairs) -> np.ndarray:
     try:
         arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError):
-        raise ValueError("samples must be a list of [re, im] number pairs") from None
+        raise InputError("samples must be a list of [re, im] number pairs") from None
     return _finite_samples(arr)
 
 
@@ -239,18 +242,18 @@ def _finite(value, what: str) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a finite number, got {value!r}") from None
+        raise InputError(f"{what} must be a finite number, got {value!r}") from None
     if not np.isfinite(x):
-        raise ValueError(f"{what} must be a finite number, got {x}")
+        raise InputError(f"{what} must be a finite number, got {x}")
     return x
 
 
 def _require_keys(obj, keys, what: str):
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise InputError(f"{what} must be a JSON object")
     missing = [k for k in keys if k not in obj]
     if missing:
-        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+        raise InputError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
 def signal_to_dict(f: Signal) -> dict:
@@ -307,9 +310,16 @@ def save_signal(f: Signal, path: str):
     save_json(signal_to_dict(f), path)
 
 
-def load_signal(path: str) -> Signal:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return signal_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InputError(str(exc)) from None
+
+
+def load_signal(path: str) -> Signal:
+    return signal_from_dict(_load_json(path))
 
 
 def save_spectrum(F: Spectrum, path: str):
@@ -317,8 +327,7 @@ def save_spectrum(F: Spectrum, path: str):
 
 
 def load_spectrum(path: str) -> Spectrum:
-    with open(path, encoding="utf-8") as fh:
-        return spectrum_from_dict(json.load(fh))
+    return spectrum_from_dict(_load_json(path))
 
 
 def save_signal_csv(f: Signal, path: str):
@@ -329,22 +338,26 @@ def save_signal_csv(f: Signal, path: str):
 def load_signal_csv(path: str, mode: str = "compact") -> Signal:
     ts, vals = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        for row in rows:
-            if not row or row[0].strip().lower() in ("t", ""):
-                continue
-            if len(row) < 3:
-                raise ValueError(f"CSV row {row!r} needs three columns t,re,im")
-            ts.append(float(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+        try:
+            for row in csv.reader(fh):
+                if not row or row[0].strip().lower() in ("t", ""):
+                    continue
+                if len(row) < 3:
+                    raise InputError(f"CSV row {row!r} needs three columns t,re,im")
+                ts.append(float(row[0]))
+                vals.append(complex(float(row[1]), float(row[2])))
+        except InputError:
+            raise
+        except (ValueError, csv.Error) as exc:  # a non-number, not UTF-8, a NUL
+            raise InputError(str(exc)) from None
     if len(ts) < 2:
-        raise ValueError("CSV needs at least two samples")
+        raise InputError("CSV needs at least two samples")
     t = np.asarray(ts)
     if not np.all(np.isfinite(t)):
-        raise ValueError("CSV time column must be finite")
+        raise InputError("CSV time column must be finite")
     steps = np.diff(t)
     step = float(steps[0])
     if not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
-        raise ValueError("CSV time column must be uniform")
+        raise InputError("CSV time column must be uniform")
     samples = _finite_samples(np.asarray(vals, dtype=complex))
     return Signal(Grid(float(t[0]), step, len(t)), samples, mode)

@@ -19,7 +19,7 @@ from .aconv import aconv_fast
 from .engine import SaftPlan, apply_symbol, isaft, make_plan, saft_fast
 from .grid import Grid, Signal, Spectrum, lr_norm
 from .operators import a_translate
-from .params import SaftParams
+from .params import InputError, SaftParams
 
 _SMOOTH_KINDS = ("imaginary_power", "smoothed_sign", "dyadic_bump")
 
@@ -69,7 +69,7 @@ class SymbolSpec:
 
     def derivative(self, omega) -> np.ndarray:
         if not self.smooth:
-            raise ValueError(f"symbol kind {self.kind!r} has no derivative")
+            raise InputError(f"symbol kind {self.kind!r} has no derivative")
         w = np.asarray(omega, dtype=float)
         if self.kind == "imaginary_power":
             safe = np.where(w != 0, w, np.inf)
@@ -95,7 +95,7 @@ def imaginary_power(alpha: float) -> SymbolSpec:
 
 def smoothed_sign(scale: float) -> SymbolSpec:
     if not (scale > 0):
-        raise ValueError("transition scale must be positive")
+        raise InputError("transition scale must be positive")
     return SymbolSpec("smoothed_sign", scale=float(scale))
 
 
@@ -148,6 +148,8 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
 def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, r: float,
                           family: list[Signal]) -> float:
     """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid)."""
+    if not family:
+        raise InputError("the probe family is empty")
     plan = make_plan(params, family[0].grid)
     worst = 0.0
     for f in family:
@@ -168,7 +170,7 @@ class LPBank:
 
     def __post_init__(self):
         if self.j_max < self.j_min:
-            raise ValueError("bank needs j_max >= j_min")
+            raise InputError("bank needs j_max >= j_min")
 
     @property
     def levels(self) -> range:
@@ -195,7 +197,7 @@ class LPBank:
         j_min = math.ceil(math.log2(2.0 * dw))
         j_max = math.floor(math.log2(w_max)) - 1
         if j_max < j_min:
-            raise ValueError("grid too coarse for a dyadic bank")
+            raise InputError("grid too coarse for a dyadic bank")
         return LPBank(j_min, j_max)
 
 
@@ -218,12 +220,12 @@ def lp_project(params: SaftParams, bank: LPBank, f: Signal,
 def square_function(blocks: list[Signal]) -> Signal:
     """Pointwise (sum_j |S_j f|^2)^(1/2); real nonnegative samples."""
     if not blocks:
-        raise ValueError("need at least one block")
+        raise InputError("need at least one block")
     grid = blocks[0].grid
     acc = np.zeros(grid.count)
     for blk in blocks:
         if not blk.grid.same_as(grid):
-            raise ValueError("blocks must share a grid")
+            raise InputError("blocks must share a grid")
         acc += np.abs(blk.samples) ** 2
     return Signal(grid, np.sqrt(acc).astype(complex), blocks[0].mode)
 
@@ -232,6 +234,8 @@ def lp_ratio_probe(params: SaftParams, bank: LPBank, r: float,
                    family: list[Signal]) -> dict:
     """Empirical min/max of ||square_function(f)||_r / ||f||_r over the family
     (one grid)."""
+    if not family:
+        raise InputError("the probe family is empty")
     plan = make_plan(params, family[0].grid)
     ratios = []
     for f in family:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, Signal
-from .params import SaftParams
+from .params import InputError, SaftParams
 
 
 def translate(f: Signal, s: float) -> Signal:
@@ -46,7 +46,7 @@ def chirp(f: Signal, s: float) -> Signal:
 def dilate(f: Signal, s: float) -> Signal:
     """D_s f(t) = |s|^(-1/2) f(t/s), on the rescaled grid (step |s|*dt)."""
     if s == 0:
-        raise ValueError("dilation factor must be nonzero")
+        raise InputError("dilation factor must be nonzero")
     vals = f.samples / np.sqrt(abs(s))
     t_new = s * f.grid.nodes()
     if s < 0:
@@ -65,7 +65,7 @@ def involution(f: Signal) -> Signal:
         idx = (-np.arange(n) - k) % n
         return f.with_samples(f.samples[idx])
     if abs(2.0 * f.grid.start + (n - 1) * f.grid.step) > 1e-9 * f.grid.step:
-        raise ValueError("compact involution needs a grid symmetric about 0")
+        raise InputError("compact involution needs a grid symmetric about 0")
     return f.with_samples(f.samples[::-1])
 
 

@@ -17,6 +17,14 @@ import numpy as np
 DET_TOL = 1e-12
 
 
+class InputError(ValueError):
+    """A precondition on caller input failed: a bad value, grid or file.
+
+    Every check in the package raises this; a ValueError of any other kind
+    is a fault of the program.
+    """
+
+
 @dataclass(frozen=True)
 class SaftParams:
     """Validated SAFT parameter set with the derived offset omega0 = b*q - d*p."""
@@ -31,12 +39,12 @@ class SaftParams:
     def __post_init__(self):
         values = (self.a, self.b, self.c, self.d, self.p, self.q)
         if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"SAFT parameters must be finite: {values!r}")
+            raise InputError(f"SAFT parameters must be finite: {values!r}")
         if self.b == 0.0:
-            raise ValueError("SAFT requires b != 0")
+            raise InputError("SAFT requires b != 0")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"parameter matrix must be unimodular: ad-bc = {det!r}")
+            raise InputError(f"parameter matrix must be unimodular: ad-bc = {det!r}")
 
     @property
     def omega0(self) -> float:
@@ -71,7 +79,7 @@ def frft_params(theta: float) -> SaftParams:
     """
     s = math.sin(theta)
     if abs(s) < 1e-12:
-        raise ValueError("fractional angle must have sin(theta) != 0")
+        raise InputError("fractional angle must have sin(theta) != 0")
     cth = math.cos(theta)
     # nudge the determinant to exact 1 against rounding in cos/sin
     det = cth * cth + s * s
@@ -81,7 +89,7 @@ def frft_params(theta: float) -> SaftParams:
 def fresnel_params(b: float) -> SaftParams:
     """Fresnel parameters {1, b, 0, 1, 0, 0}; rejects b = 0."""
     if b == 0.0:
-        raise ValueError("Fresnel parameter b must be nonzero")
+        raise InputError("Fresnel parameter b must be nonzero")
     return SaftParams(1.0, float(b), 0.0, 1.0)
 
 
@@ -100,7 +108,7 @@ def special_params(kind: str, *args: float) -> SaftParams:
         return fresnel_params(*args)
     if kind == "lct":
         return lct_params(*args)
-    raise ValueError(f"unknown special parameter kind: {kind!r}")
+    raise InputError(f"unknown special parameter kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +159,13 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind not in ("unit", "radial", "transported", "freq_scaled", "sheared"):
-            raise ValueError(f"unknown weight kind: {self.kind!r}")
-        if self.kind in ("radial", "transported") and self.ell < 0:
-            raise ValueError("weight exponent must be >= 0")
+            raise InputError(f"unknown weight kind: {self.kind!r}")
+        if self.kind in ("radial", "transported") and not self.ell >= 0:
+            raise InputError("weight exponent must be >= 0")
         if self.kind == "transported" and self.params is None:
-            raise ValueError("transported weight needs a parameter set")
+            raise InputError("transported weight needs a parameter set")
         if self.kind in ("freq_scaled", "sheared") and self.inner is None:
-            raise ValueError(f"{self.kind} weight needs an inner weight")
+            raise InputError(f"{self.kind} weight needs an inner weight")
 
 
 def unit_weight() -> WeightSpec:

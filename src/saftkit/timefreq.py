@@ -29,7 +29,8 @@ from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
 from .grid import Grid, Signal, _pairs, _require_same_grid
 from .operators import a_modulate, a_translate, chirp, involution
-from .params import SaftParams, WeightSpec, pre_chirp, quad_chirp, weight_eval
+from .params import (InputError, SaftParams, WeightSpec, pre_chirp, quad_chirp,
+                     weight_eval)
 
 # stft returns a dense N x N complex table: 256 MiB at this limit.  The
 # norms never build it, so the limit does not apply to them.
@@ -50,7 +51,7 @@ class TFMatrix:
 
     def __post_init__(self):
         if self.values.shape != (self.x_grid.count, self.w_grid.count):
-            raise ValueError("value matrix must match the lattice")
+            raise InputError("value matrix must match the lattice")
 
 
 def _freq_grid(grid: Grid) -> Grid:
@@ -103,7 +104,7 @@ def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
     grid = f.grid
     n = grid.count
     if n > STFT_MAX_COUNT:
-        raise ValueError(f"stft returns a dense N x N table; N = {n} is above "
+        raise InputError(f"stft returns a dense N x N table; N = {n} is above "
                          f"the limit of {STFT_MAX_COUNT} samples")
     vals = np.empty((n, n), dtype=complex)
     for lo, block in _stft_rows(f, g):
@@ -146,10 +147,16 @@ def raised_cosine_window(grid: Grid, mode: str = "cyclic") -> Signal:
 
 # ---------------------------------------------------------------------------
 # Covariance checkers.  Each evaluates both sides of an identity through
-# independent code paths and returns the max absolute lattice deviation.
+# independent code paths and returns the max lattice deviation relative to
+# the peak of |V_g f|, a table it builds anyway: 0.0 when that table is zero.
+
+def _relative(dev: np.ndarray, V0: np.ndarray) -> float:
+    peak = np.max(np.abs(V0))
+    return float(np.max(np.abs(dev)) / peak) if peak > 0 else 0.0
+
 
 def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
-    """Deviation in V_{C_s g}(C_s f)(x, w) = e^{-i pi s x^2} V_g f(x, w - s x).
+    """Relative deviation in V_{C_s g}(C_s f)(x, w) = e^{-i pi s x^2} V_g f(x, w - s x).
 
     Requires the shear to be lattice-aligned: s*dt and s*t0 must be
     multiples of the frequency step 1/(N dt).
@@ -167,12 +174,12 @@ def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
     cols = (np.arange(n)[None, :] - shift[:, None]) % n
     rhs = (np.exp(-1j * np.pi * s * x * x)[:, None]
            * np.take_along_axis(V0.values, cols, axis=1))
-    return float(np.max(np.abs(lhs - rhs)))
+    return _relative(lhs - rhs, V0.values)
 
 
 def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
                        xi: float, eta: float) -> float:
-    """Deviation in the twisted time-frequency covariance law
+    """Relative deviation in the twisted time-frequency covariance law
 
     V_g(T^A_xi M^A_eta f)(x, w)
         = rho(-eta) e^{-2 pi i xi w} V_g f(x - xi, w + (a xi - eta)/b).
@@ -191,11 +198,11 @@ def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
     scalar = pre_chirp(params, -eta)
     rolled = np.roll(V0.values, (m_shift, -k_shift), axis=(0, 1))
     rhs = scalar * np.exp(-2j * np.pi * xi * w)[None, :] * rolled
-    return float(np.max(np.abs(lhs - rhs)))
+    return _relative(lhs - rhs, V0.values)
 
 
 def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
-    """Max magnitude deviation in the transform-domain STFT identity
+    """Relative magnitude deviation in the transform-domain STFT identity
 
     |V_{Fg}(Ff)(x, w)| = |V_g f(d x - b w, a w - c x)|.
 
@@ -205,16 +212,16 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     """
     ints = [params.a, params.b, params.c, params.d]
     if any(abs(v - round(v)) > 1e-9 for v in ints):
-        raise ValueError("identity check needs integer matrix parameters")
+        raise InputError("identity check needs integer matrix parameters")
     ai, bi, ci, di = (int(round(v)) for v in ints)
     if abs(bi) != 1:
-        raise ValueError("identity check needs |b| = 1")
+        raise InputError("identity check needs |b| = 1")
     grid = f.grid
     n = grid.count
     if abs(n * grid.step ** 2 - abs(params.b)) > 1e-9:
-        raise ValueError("identity check needs a self-dual grid: N dt^2 = |b|")
+        raise InputError("identity check needs a self-dual grid: N dt^2 = |b|")
     if abs(grid.start + n * grid.step / 2.0) > 1e-9 * grid.step:
-        raise ValueError("identity check needs a centered grid")
+        raise InputError("identity check needs a centered grid")
     F = saft(params, f)
     G = saft(params, g)
     Fs = Signal(F.freq_grid, F.samples, "cyclic")
@@ -226,15 +233,15 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     jj = np.arange(n)[None, :] - h
     iu = (di * i - bi * jj + h) % n
     jv = (ai * jj - ci * i + h) % n
-    return float(np.max(np.abs(VA - V0[iu, jv])))
+    return _relative(VA - V0[iu, jv], V0)
 
 
 # ---------------------------------------------------------------------------
 # Modulation-space norms.
 
 def _check_exponents(r: float, s: float):
-    if r < 1 or s < 1 or np.isinf(r) or np.isinf(s):
-        raise ValueError("modulation norms need finite exponents r, s >= 1")
+    if not (1 <= r < np.inf and 1 <= s < np.inf):  # also rejects NaN
+        raise InputError("modulation norms need finite exponents r, s >= 1")
 
 
 def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
@@ -247,7 +254,7 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:
-        raise ValueError("window must be nonzero")
+        raise InputError("window must be nonzero")
     grid = f.grid
     x = grid.nodes()[:, None]
     w = _freq_grid(grid).nodes()[None, :]
@@ -278,7 +285,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:
-        raise ValueError("window must be nonzero")
+        raise InputError("window must be nonzero")
     _require_same_grid(f, g)
     grid = f.grid
     n = grid.count
@@ -318,7 +325,7 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
     """
     _check_exponents(r, s)
     if np.max(np.abs(g.samples)) == 0.0:
-        raise ValueError("window must be nonzero")
+        raise InputError("window must be nonzero")
     _require_same_grid(f, g)
     grid = f.grid
     x = grid.nodes()

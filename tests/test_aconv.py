@@ -7,7 +7,8 @@ from saftkit.aconv import (aconv_fast, aconv_oracle, approx_identity_run,
 from saftkit.engine import make_plan, saft_fast
 from saftkit.grid import Signal, centered_grid, impulse, lr_norm, sample
 from saftkit.operators import a_translate, chirp
-from saftkit.params import fourier_params, frft_params, make_params, post_chirp
+from saftkit.params import (InputError, fourier_params, frft_params, make_params,
+                            post_chirp)
 from saftkit.families import gaussian_mixture_family, raised_cosine_bump
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
@@ -172,6 +173,17 @@ def test_young_rejects_inadmissible_exponents():
         young_check(GENERIC, f, g, 3.0, 3.0)
     with pytest.raises(ValueError):
         young_check(GENERIC, f, g, 0.5, 1.0)
+    with pytest.raises(InputError, match="r, s >= 1"):
+        young_check(GENERIC, f, g, float("nan"), 1.0)
+
+
+@pytest.mark.parametrize("eps", (float("nan"), 0.0, -1.0))
+def test_approx_identity_rejects_widths(eps):
+    f = raised_cosine_bump(centered_grid(8.0, 512))
+    with pytest.raises(InputError, match="widths must be positive"):
+        approx_identity_run(GENERIC, f, lambda x: np.exp(-np.pi * x * x), [eps])
+    with pytest.raises(InputError, match="quadrature mass"):
+        approx_identity_run(GENERIC, f, lambda x: np.full_like(x, np.nan), [1.0])
 
 
 @pytest.mark.parametrize("p", PSETS, ids=("fourier", "frft", "generic"))

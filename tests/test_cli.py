@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -164,6 +165,86 @@ def test_cli_bad_grids_exit_2(start, argv, message, tmp_path, capsys):
     assert err.startswith(f"saftkit {argv[0]}: error: {path}: ")
     assert err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+# Every input here once ended in a traceback or in NaN output; the library
+# rejects each with an InputError (or argparse with its type), and `main`
+# maps that to exit 2 without a case of its own.
+BAD_INPUTS = {
+    "stft-above-limit": ["stft", "--in", "BIG", "--out", "OUT"],
+    "stft-off-lattice": ["stft", "--in", "HALF", "--out", "OUT"],
+    "modnorm-off-lattice": ["modnorm", "-r", "2", "-s", "2", "--in", "HALF"],
+    "amodnorm-off-lattice": ["amodnorm", "-r", "2", "-s", "2", "--in", "HALF"],
+    "aconv-cyclic-off-lattice": ["aconv", "--mode", "cyclic", "HALF", "HALF",
+                                 "--out", "OUT"],
+    "modnorm-r-below-1": ["modnorm", "-r", "0.5", "-s", "2", "--in", "GOOD"],
+    "young-r-below-1": ["young", "-r", "0.5", "-s", "1", "GOOD", "GOOD"],
+    "lp-coarse-grid": ["lp", "--in", "TINY", "--out", "OUT"],
+    "plotdata-lp-coarse-grid": ["plotdata", "--kind", "lp_blocks", "--in", "TINY",
+                                "--out", "OUT"],
+    "probe-lp-coarse-grid": ["probe", "--kind", "lp", "--size", "2"],
+    "lp-empty-bank": ["lp", "--jmin", "3", "--jmax", "1", "--in", "GOOD",
+                      "--out", "OUT"],
+    "heat-negative-time": ["heat", "--t", "-1", "--in", "GOOD", "--out", "OUT"],
+    "heat-nan-time": ["heat", "--t", "nan", "--in", "GOOD", "--out", "OUT"],
+    "opB-fd-4-samples": ["opB", "--method", "fd", "--in", "TINY", "--out", "OUT"],
+    "isaft-nan-start": ["isaft", "--start", "nan", "--in", "SPEC", "--out", "OUT"],
+    "out-in-missing-dir": ["saft", "--in", "GOOD", "--out", "NODIR"],
+    "modnorm-nan-r": ["modnorm", "-r", "nan", "-s", "2", "--in", "GOOD"],
+    "amodnorm-nan-s": ["amodnorm", "-r", "2", "-s", "nan", "--in", "GOOD"],
+    "op-nan-chirp": ["op", "--chirp", "nan", "--in", "GOOD", "--out", "OUT"],
+    "op-inf-modulate": ["op", "--modulate", "inf", "--in", "GOOD", "--out", "OUT"],
+    "plotdata-nan-time": ["plotdata", "--kind", "heat_snapshots", "--t", "nan",
+                          "--in", "GOOD", "--out", "OUT"],
+    "bench-no-repeats": ["bench", "--sizes", "256", "--repeats", "0"],
+    "probe-empty-family": ["probe", "--kind", "hormander", "--count", "0",
+                           "--size", "64"],
+    "probe-size-0": ["probe", "--kind", "hormander", "--size", "0"],
+    "bench-size-0": ["bench", "--sizes", "0", "--repeats", "1"],
+    "verify-negative-seed": ["verify", "--seed", "-1", "--tiers", "1", "--no-bench"],
+    "probe-negative-seed": ["probe", "--kind", "hormander", "--seed", "-1"],
+}
+
+
+@pytest.fixture
+def bad_input_files(tmp_path):
+    def write(name, grid):
+        path = str(tmp_path / name)
+        save_signal(Signal(grid, np.exp(-grid.nodes() ** 2), "cyclic"), path)
+        return path
+
+    files = {"GOOD": write("good.json", Grid(-4.0, 0.125, 64)),
+             "HALF": write("half.json", Grid(-4.0 + 0.0625, 0.125, 64)),
+             "BIG": write("big.json", Grid(-25.0, 0.01, 5000)),
+             "TINY": write("tiny.json", Grid(-2.0, 1.0, 4)),
+             "SPEC": str(tmp_path / "F.json"),
+             "OUT": str(tmp_path / "out.json"),
+             "NODIR": str(tmp_path / "missing" / "out.json")}
+    assert main(["saft", "--in", files["GOOD"], "--out", files["SPEC"]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_cli_bad_input_exits_2_with_one_error_line(argv, bad_input_files, capsys):
+    argv = [bad_input_files.get(a, a) for a in argv]
+    try:
+        code, by_argparse = main(argv), False
+    except SystemExit as exc:  # argparse prints its usage lines first
+        code, by_argparse = exc.code, True
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2, lines
+    assert lines[-1].startswith(f"saftkit {argv[0]}: error: ")
+    assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+    assert by_argparse or len(lines) == 1
+    assert not os.path.exists(bad_input_files["OUT"])
+
+
+def test_cli_young_failed_inequality_exits_1(signal_file, monkeypatch, capsys):
+    monkeypatch.setattr("saftkit.cli.young_check", lambda *args: {
+        "lhs": 2.0, "rhs": 1.0, "t": 1.0, "pass": False})
+    path = signal_file[0]
+    assert main(["young", "-r", "1", "-s", "1", path, path]) == 1
+    assert "pass=False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option", ("--translate", "--a-translate"))
@@ -357,6 +438,8 @@ def test_bench_rejects_unsorted_sizes():
     from saftkit.bench import run_bench
     with pytest.raises(ValueError):
         run_bench(fourier_params(), (512, 256), repeats=1)
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        run_bench(fourier_params(), (256,), repeats=0)
 
 
 def test_verify_report_is_deterministic():

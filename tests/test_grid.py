@@ -11,7 +11,7 @@ from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
                           save_signal, save_signal_csv, signal_from_dict,
                           signal_to_dict, spectrum_from_dict, spectrum_norm,
                           spectrum_to_dict, tail_mass)
-from saftkit.params import fourier_params, make_params
+from saftkit.params import InputError, fourier_params, make_params
 
 
 def test_constant_one_has_unit_l2_norm():
@@ -311,3 +311,33 @@ def test_same_as_tolerance(k, which, rel):
     moved = Grid(g.start + k * g.step, g.step, g.count)
     assert g.same_as(moved) == (k == 0)
     assert not g.same_as(Grid(g.start + (k + 0.5) * g.step, g.step, g.count))
+
+
+@pytest.mark.parametrize("count", (1, 0, -3))
+def test_centered_grid_rejects_fewer_than_two_nodes(count):
+    with pytest.raises(InputError, match="at least two nodes"):
+        centered_grid(10.0, count)
+
+
+@pytest.mark.parametrize("r", (0.5, float("nan")))
+def test_norms_reject_exponents_below_1_and_nan(r):
+    f = Signal(Grid(0.0, 0.1, 4), np.ones(4))
+    with pytest.raises(InputError, match="r >= 1"):
+        lr_norm(f, r)
+    with pytest.raises(InputError, match="r >= 1"):
+        spectrum_norm(Spectrum(fourier_params(), f.grid, f.samples), r)
+
+
+@pytest.mark.parametrize("name, text, message", (
+    ("bad.json", "{nope", "Expecting property name"),
+    ("bad.csv", "t,re,im\n0,1,x\n1,2,3\n", "could not convert string to float"),
+))
+def test_loaders_raise_input_error_on_unparsable_files(name, text, message, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    load = load_signal_csv if name.endswith(".csv") else load_signal
+    with pytest.raises(InputError, match=message):
+        load(str(path))
+    path.write_bytes(b"\xff\xfe garbage")
+    with pytest.raises(InputError, match="utf-8"):
+        load(str(path))

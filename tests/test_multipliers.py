@@ -11,7 +11,7 @@ from saftkit.multipliers import (LPBank, apply_multiplier, dyadic_bump,
                                  smoothed_sign,
                                  square_function, wendel_commute_check)
 from saftkit.operators import a_translate
-from saftkit.params import fourier_params, frft_params, make_params
+from saftkit.params import InputError, fourier_params, frft_params, make_params
 from saftkit.families import (bandlimited_family, covered_family,
                               gaussian_mixture_family)
 
@@ -277,3 +277,11 @@ def test_unimodular_symbol_preserves_l2():
     f = gaussian_mixture_family(grid, 1, 94)[0]
     out = apply_multiplier(GENERIC, imaginary_power(1.7), f)
     assert abs(lr_norm(out, 2) - lr_norm(f, 2)) <= 1e-10 * lr_norm(f, 2)
+
+
+def test_probes_reject_an_empty_family():
+    grid = centered_grid(10.0, 64)
+    with pytest.raises(InputError, match="family is empty"):
+        multiplier_norm_probe(GENERIC, imaginary_power(1.0), 2.0, [])
+    with pytest.raises(InputError, match="family is empty"):
+        lp_ratio_probe(GENERIC, LPBank.for_grid(GENERIC, grid), 2.0, [])

@@ -1,11 +1,15 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from saftkit.params import (SaftParams, fourier_params, fresnel_params,
-                            frft_params, make_params, post_chirp, pre_chirp,
-                            quad_chirp, radial_weight, sheared_weight,
-                            special_params, transported_weight, unit_weight,
-                            freq_scaled_weight, weight_equiv_bounds, weight_eval)
+import saftkit
+from saftkit.params import (InputError, SaftParams, WeightSpec, fourier_params,
+                            fresnel_params, frft_params, make_params,
+                            post_chirp, pre_chirp, quad_chirp, radial_weight,
+                            sheared_weight, special_params, transported_weight,
+                            unit_weight, freq_scaled_weight,
+                            weight_equiv_bounds, weight_eval)
 
 
 def test_fourier_parameters_validate():
@@ -134,3 +138,15 @@ def test_weight_spec_validation():
     with pytest.raises(ValueError):
         from saftkit.params import WeightSpec
         WeightSpec("radial", ell=-1.0)
+
+
+def test_input_error_is_the_one_rejection_type():
+    assert issubclass(InputError, ValueError) and saftkit.InputError is InputError
+    with pytest.raises(InputError, match="SAFT requires b != 0"):
+        make_params(1, 0, 0, 1)
+    with pytest.raises(InputError, match="weight exponent"):
+        WeightSpec("radial", ell=float("nan"))
+    # cli.py's argparse types raise ValueError, which argparse reports itself
+    package = pathlib.Path(saftkit.__file__).parent
+    assert not [path.name for path in package.glob("*.py") if path.name != "cli.py"
+                and "raise ValueError" in path.read_text()]

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from saftkit.engine import dft_frequencies, make_plan, saft_fast
 from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import chirp
-from saftkit.params import (fourier_params, freq_scaled_weight, frft_params,
-                            make_params, radial_weight, sheared_weight,
-                            transported_weight, unit_weight, weight_eval)
+from saftkit.params import (InputError, fourier_params, freq_scaled_weight,
+                            frft_params, make_params, radial_weight,
+                            sheared_weight, transported_weight, unit_weight,
+                            weight_eval)
 from saftkit import timefreq
 from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               a_covariance_check, a_mod_norm,
@@ -92,8 +93,7 @@ def test_chirp_stft_covariance_aligned():
     f = gaussian_mixture_family(grid, 1, 61)[0]
     g = gaussian_window(grid)
     dxi = 1.0 / grid.span
-    dev = chirp_stft_covariance_check(f, g, 3 * dxi / grid.step)
-    assert dev <= 1e-9 * np.max(np.abs(stft(f, g).values))
+    assert chirp_stft_covariance_check(f, g, 3 * dxi / grid.step) <= 1e-9
 
 
 def test_chirp_stft_covariance_rejects_misaligned():
@@ -117,8 +117,7 @@ def test_a_covariance_aligned(p):
     dxi = 1.0 / grid.span
     xi = 16 * grid.step
     eta = p.a * xi - p.b * 2 * dxi
-    dev = a_covariance_check(p, f, g, xi, eta)
-    assert dev <= 1e-9 * np.max(np.abs(stft(f, g).values))
+    assert a_covariance_check(p, f, g, xi, eta) <= 1e-9
 
 
 def test_a_covariance_reports_required_alignment():
@@ -139,16 +138,14 @@ def _self_dual_grid(n):
 def test_saft_stft_identity_fourier_mapping():
     grid = _self_dual_grid(256)
     f, g = gaussian_mixture_family(grid, 2, 66)
-    vmax = np.max(np.abs(stft(f, g).values))
-    assert saft_stft_identity_check(fourier_params(), f, g) <= 1e-6 * vmax
+    assert saft_stft_identity_check(fourier_params(), f, g) <= 1e-6
 
 
 def test_saft_stft_identity_shear_mapping():
     grid = _self_dual_grid(256)
     f, g = gaussian_mixture_family(grid, 2, 67)
     p = make_params(1, 1, 0, 1, 0, 0)
-    vmax = np.max(np.abs(stft(f, g).values))
-    assert saft_stft_identity_check(p, f, g) <= 1e-6 * vmax
+    assert saft_stft_identity_check(p, f, g) <= 1e-6
 
 
 def test_saft_stft_identity_zero_signal():
@@ -190,6 +187,18 @@ def test_mod_norm_rejects_zero_window():
     f = gaussian_mixture_family(grid, 1, 71)[0]
     with pytest.raises(ValueError):
         mod_norm(f, Signal(grid, np.zeros(128), "cyclic"), 2.0, 2.0, unit_weight())
+
+
+@pytest.mark.parametrize("r, s", ((float("nan"), 2.0), (2.0, float("nan")),
+                                  (0.5, 2.0), (2.0, float("inf"))))
+def test_modulation_norms_reject_exponents(r, s):
+    grid = centered_grid(10.0, 64)
+    f = gaussian_mixture_family(grid, 1, 71)[0]
+    g = gaussian_window(grid)
+    for norm in (lambda: mod_norm(f, g, r, s, unit_weight()),
+                 lambda: a_mod_norm(GENERIC, f, g, r, s, unit_weight())):
+        with pytest.raises(InputError, match="finite exponents r, s >= 1"):
+            norm()
 
 
 def test_chirp_shear_transport_two_sided():
