@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="dyadic block projections")
     common(p)
-    p.add_argument("--jmin", type=int, default=None)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmin", type=int, default=None,
+                   help="lowest level, given with --jmax (default: widest bank)")
+    p.add_argument("--jmax", type=int, default=None,
+                   help="highest level, given with --jmin")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--reconstruct", action="store_true",
                      help="write the sum of the blocks")
@@ -355,9 +357,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "lp":
+        if (args.jmin is None) != (args.jmax is None):
+            raise InputError("--jmin and --jmax go together")
         f = _read_signal(args.infile, "cyclic")
-        bank = (LPBank(args.jmin, args.jmax)
-                if args.jmin is not None and args.jmax is not None
+        bank = (LPBank(args.jmin, args.jmax) if args.jmin is not None
                 else LPBank.for_grid(P, f.grid))
         blocks = lp_project(P, bank, f)
         if args.reconstruct:

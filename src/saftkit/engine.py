@@ -13,6 +13,12 @@ statement, not a modeling comparison.  The input table holds the input
 chirp and the centring phase exp(2 pi i n floor(N/2) / N), which puts the
 FFT output in centered order without an fftshift; the output table holds
 dt/sqrt|b|, the output chirp and the linear phase of the grid origin.
+The inverse multiplies only: the input table is a unit phase and the
+output table dt/sqrt|b| times one, so
+
+    f = ifft(F * conj(post)) * conj(pre) * |b| / dt^2
+
+(F reversed first when b < 0), with the conjugates taken on the fly.
 
 make_plan is memoised on (params, grid): it keeps the most recently used
 plans within a count and a byte budget, so repeated one-shot calls on one
@@ -193,28 +199,37 @@ def saft_oracle(params: SaftParams, f: Signal) -> Spectrum:
 
 
 def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
-    """Exact algebraic inverse of the fast path: ifft(F / post) / pre.
+    """Exact algebraic inverse of the fast path, by multiplication only:
+    ifft(F * conj(post)) * conj(pre) * |b| / dt^2.
 
-    isaft(saft_fast(f)) reproduces f to rounding.
+    pre is a unit phase and post is dt/sqrt|b| times one, so the conjugates
+    and one real factor stand in for the divisions.  isaft(saft_fast(f))
+    reproduces f to rounding.
     """
     if not plan.freq_grid.same_as(F.freq_grid):
         raise InputError("spectrum was not produced on the plan's grids")
-    vals = np.fft.ifft((F.samples[::-1] if plan.flip else F.samples) / plan.post)
-    vals /= plan.pre
+    vals = np.conjugate(plan.post)
+    vals *= F.samples[::-1] if plan.flip else F.samples
+    vals *= abs(plan.params.b) / plan.grid.step ** 2
+    np.fft.ifft(vals, out=vals)
+    vals *= np.conjugate(plan.pre)
     return Signal(plan.grid, vals, mode)
 
 
 def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:
     """Transform, multiply by a symbol, invert.
 
-    values are the symbol on plan.freq_grid (ascending); they must be
-    finite.  The output keeps the boundary mode of f.
+    values are the symbol on plan.freq_grid (ascending), one finite value
+    per node.  The output keeps the boundary mode of f.
     """
+    if np.shape(values) != (plan.freq_grid.count,):
+        raise InputError(f"symbol needs {plan.freq_grid.count} values, one per "
+                         f"frequency node, got shape {np.shape(values)}")
     if not np.all(np.isfinite(values)):
         raise InputError("symbol takes non-finite values on the grid")
     F = saft_fast(plan, f)
-    return isaft(plan, Spectrum(plan.params, F.freq_grid, values * F.samples),
-                 f.mode)
+    np.multiply(F.samples, values, out=F.samples)
+    return isaft(plan, F, f.mode)
 
 
 def chirp_period_compatible(params: SaftParams, grid: Grid,

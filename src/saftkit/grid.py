@@ -290,8 +290,10 @@ def spectrum_from_dict(obj: dict) -> Spectrum:
 
 
 def save_json(obj, path: str):
+    """Write obj as JSON; json.dumps uses the C encoder, json.dump does not."""
+    text = json.dumps(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(text)
 
 
 def save_columns_csv(path: str, header, columns):

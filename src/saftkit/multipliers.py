@@ -6,6 +6,14 @@ The dyadic bank realizes the blocks [-2^(j+1), -2^j] u [2^j, 2^(j+1)] on
 a finite grid, truncated to the levels the grid resolves; shared dyadic
 endpoints belong to the lower block so the block indicators sum to
 exactly one on the covered range.
+
+lp_project computes the whole bank from one forward FFT.  The output
+table cancels between transform and inverse, and the FFT output is in
+centred order, along which w = b xi_k is monotone; so each block is two
+index ranges of that one spectrum (LPBank.block_ranges, found by binary
+search with the same closed and open ends as block_mask), copied into a
+zeroed row, inverted in place and multiplied by the conjugate input
+table.  No level builds a mask or divides.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aconv import aconv_fast
-from .engine import SaftPlan, apply_symbol, isaft, make_plan, saft_fast
-from .grid import Grid, Signal, Spectrum, lr_norm
+from .engine import SaftPlan, apply_symbol, make_plan
+from .grid import Grid, Signal, lr_norm
 from .operators import a_translate
 from .params import InputError, SaftParams
 
@@ -103,13 +111,20 @@ def dyadic_bump(level: int) -> SymbolSpec:
     return SymbolSpec("dyadic_bump", level=int(level))
 
 
+def _interval(lo, hi) -> tuple:
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InputError(f"indicator interval needs finite lo < hi, got [{lo}, {hi})")
+    return lo, hi
+
+
 def indicator_symbol(lo: float, hi: float) -> SymbolSpec:
-    return SymbolSpec("indicator", intervals=((float(lo), float(hi)),))
+    return SymbolSpec("indicator", intervals=(_interval(lo, hi),))
 
 
 def indicator_union(intervals) -> SymbolSpec:
     return SymbolSpec("indicator_union",
-                      intervals=tuple((float(lo), float(hi)) for lo, hi in intervals))
+                      intervals=tuple(_interval(lo, hi) for lo, hi in intervals))
 
 
 def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal,
@@ -184,6 +199,19 @@ class LPBank:
             return (mag >= lo) & (mag <= hi)
         return (mag > lo) & (mag <= hi)
 
+    def block_ranges(self, j: int, omega) -> tuple:
+        """Level j on an ascending omega as two index ranges (start, stop),
+        the negative half first; together they hold exactly the indices
+        where block_mask(j, omega) is true."""
+        w = np.asarray(omega, dtype=float)
+        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
+        closed = j == self.j_min  # only the lowest level holds 2^j itself
+        neg = (np.searchsorted(w, -hi, "left"),
+               np.searchsorted(w, -lo, "right" if closed else "left"))
+        pos = (np.searchsorted(w, lo, "left" if closed else "right"),
+               np.searchsorted(w, hi, "right"))
+        return tuple((int(a), int(b)) for a, b in (neg, pos))
+
     def coverage_mask(self, omega) -> np.ndarray:
         mag = np.abs(np.asarray(omega, dtype=float))
         return (mag >= 2.0 ** self.j_min) & (mag <= 2.0 ** (self.j_max + 1))
@@ -203,18 +231,33 @@ class LPBank:
 
 def lp_project(params: SaftParams, bank: LPBank, f: Signal,
                plan: SaftPlan | None = None) -> list[Signal]:
-    """Block projections S_j f: indicator of each dyadic block in the
-    transform domain, one inversion per level."""
+    """Block projections S_j f: the indicator of each dyadic block in the
+    transform domain, all from one forward FFT.
+
+    The post table cancels between the transform and its inverse, so block
+    j is ifft(mask_j * fft(pre * f)) * conj(pre), with mask_j in FFT order.
+    That order is centred, so w = b xi_k is monotone along it, and each
+    block's bins are the two index ranges of block_ranges (mirrored when
+    b < 0), copied from the one spectrum into a zeroed row.  The blocks'
+    samples are the rows of one (levels, N) array.
+    """
     if plan is None:
         plan = make_plan(params, f.grid)
-    F = saft_fast(plan, f)
-    w = F.freq_grid.nodes()
-    out = []
-    for j in bank.levels:
-        mask = bank.block_mask(j, w)
-        out.append(isaft(plan, Spectrum(params, F.freq_grid, mask * F.samples),
-                         f.mode))
-    return out
+    if not plan.grid.same_as(f.grid):
+        raise InputError("plan was built for a different grid")
+    n = plan.grid.count
+    raw = np.fft.fft(plan.pre * f.samples)
+    w = plan.freq_grid.nodes()
+    unpre = np.conjugate(plan.pre)
+    rows = np.zeros((len(bank.levels), n), dtype=complex)
+    for row, j in zip(rows, bank.levels):
+        for lo, hi in bank.block_ranges(j, w):
+            if plan.flip:  # freq_grid is the FFT order reversed
+                lo, hi = n - hi, n - lo
+            row[lo:hi] = raw[lo:hi]
+        np.fft.ifft(row, out=row)
+        row *= unpre
+    return [Signal(plan.grid, row, f.mode) for row in rows]
 
 
 def square_function(blocks: list[Signal]) -> Signal:

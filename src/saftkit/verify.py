@@ -490,6 +490,8 @@ def run_verify(params: SaftParams, size: int = 512, seed: int = 42,
     """Run the battery at the given size with deterministic seeded inputs."""
     if size not in VALID_SIZES:
         raise InputError(f"size must be one of {VALID_SIZES}")
+    if not tiers or not set(tiers) <= {1, 2, 3}:
+        raise InputError(f"tiers must be among 1, 2 and 3, got {tuple(tiers)}")
     report = VerifyReport(params.as_dict(), size, seed)
     if 1 in tiers:
         report.checks.extend(tier1(params, size, seed))

@@ -10,7 +10,7 @@ from saftkit.engine import heat_evolve, make_plan, saft_fast
 from saftkit.grid import (Grid, Signal, centered_grid, load_signal,
                           load_spectrum, save_signal)
 from saftkit.multipliers import LPBank, lp_project
-from saftkit.params import fourier_params
+from saftkit.params import InputError, fourier_params
 from saftkit.timefreq import gaussian_window, stft
 from saftkit.verify import run_verify, standard_parameter_sets
 from saftkit.families import gaussian_mixture_family
@@ -203,6 +203,13 @@ BAD_INPUTS = {
     "bench-size-0": ["bench", "--sizes", "0", "--repeats", "1"],
     "verify-negative-seed": ["verify", "--seed", "-1", "--tiers", "1", "--no-bench"],
     "probe-negative-seed": ["probe", "--kind", "hormander", "--seed", "-1"],
+    "verify-tier-4": ["verify", "--tiers", "4", "--no-bench"],
+    "mult-nan-indicator": ["mult", "--symbol", "indicator:nan,1", "--in", "GOOD",
+                           "--out", "OUT"],
+    "mult-empty-indicator": ["mult", "--symbol", "indicator:2,1", "--in", "GOOD",
+                             "--out", "OUT"],
+    "lp-jmin-alone": ["lp", "--jmin", "1", "--in", "GOOD", "--out", "OUT"],
+    "lp-jmax-alone": ["lp", "--jmax", "1", "--in", "GOOD", "--out", "OUT"],
 }
 
 
@@ -440,6 +447,12 @@ def test_bench_rejects_unsorted_sizes():
         run_bench(fourier_params(), (512, 256), repeats=1)
     with pytest.raises(ValueError, match="repeats must be at least 1"):
         run_bench(fourier_params(), (256,), repeats=0)
+
+
+@pytest.mark.parametrize("tiers", ((4,), (0, 1), ()))
+def test_run_verify_rejects_tiers_outside_1_to_3(tiers):
+    with pytest.raises(InputError, match="tiers must be among 1, 2 and 3"):
+        run_verify(fourier_params(), 256, 42, tiers=tiers, include_bench=False)
 
 
 def test_verify_report_is_deterministic():

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from saftkit import engine
 from saftkit.engine import (apply_symbol, chirp_period_compatible,
@@ -13,8 +13,9 @@ from saftkit.engine import (apply_symbol, chirp_period_compatible,
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, lr_norm,
                           sample, spectrum_norm)
 from saftkit.operators import a_translate
-from saftkit.params import (fourier_params, frft_params, make_params,
-                            post_chirp)
+from saftkit.params import (InputError, fourier_params, frft_params,
+                            make_params, post_chirp)
+from strategies import cases
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
 PSETS = (fourier_params(), frft_params(np.pi / 4), GENERIC)
@@ -336,6 +337,13 @@ def test_apply_symbol_matches_spelled_out_path(p, grid):
             assert np.array_equal(out.samples, ref.samples)
 
 
+@pytest.mark.parametrize("shape", ((63,), (64, 1), ()))
+def test_apply_symbol_rejects_values_off_the_grid(shape):
+    plan = make_plan(GENERIC, centered_grid(4.0, 64))
+    with pytest.raises(InputError, match="one per frequency node"):
+        apply_symbol(plan, _noise(plan.grid, 2), np.ones(shape))
+
+
 def test_apply_symbol_rejects_nonfinite_values():
     plan = make_plan(GENERIC, centered_grid(4.0, 64))
     values = np.ones(64)
@@ -344,23 +352,8 @@ def test_apply_symbol_rejects_nonfinite_values():
         apply_symbol(plan, _noise(plan.grid, 2), values)
 
 
-@st.composite
-def transform_cases(draw):
-    """Unimodular sets (b of either sign) on odd and even N from 16 to 97,
-    with lattice-aligned origins off the centred one."""
-    b = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
-    a, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
-    params = make_params(a, b, (a * d - 1.0) / b, d, p, q)
-    n = draw(st.integers(16, 97))
-    step = draw(st.floats(0.05, 0.5))
-    offset = draw(st.integers(-n, n).filter(lambda k: k != 0))
-    grid = Grid((offset - n // 2) * step, step, n)
-    return params, _noise(grid, draw(st.integers(0, 2 ** 32 - 1)))
-
-
 @settings(max_examples=80, deadline=None)
-@given(case=transform_cases())
+@given(case=cases())
 def test_fast_path_identities_generated(case):
     params, f = case
     plan = make_plan(params, f.grid)

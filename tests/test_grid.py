@@ -8,10 +8,12 @@ from saftkit.engine import make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
                           impulse, indicator, inner_product, load_signal,
                           load_signal_csv, lr_norm, sample, save_columns_csv,
-                          save_signal, save_signal_csv, signal_from_dict,
-                          signal_to_dict, spectrum_from_dict, spectrum_norm,
-                          spectrum_to_dict, tail_mass)
+                          save_json, save_signal, save_signal_csv,
+                          signal_from_dict, signal_to_dict, spectrum_from_dict,
+                          spectrum_norm, spectrum_to_dict, tail_mass)
+from saftkit.multipliers import LPBank, lp_project
 from saftkit.params import InputError, fourier_params, make_params
+from saftkit.timefreq import gaussian_window, stft, tf_to_dict
 
 
 def test_constant_one_has_unit_l2_norm():
@@ -224,6 +226,26 @@ def test_pairs_match_the_per_element_writer():
         assert repr(got) == repr(ref)
         assert all(type(x) is float for row in got for x in row)
         assert json.dumps(got) == json.dumps(ref)
+
+
+def test_save_json_writes_the_bytes_of_json_dump(tmp_path):
+    p = make_params(1, -2, 2, -3, 0.3, -0.2)
+    edges = Signal(Grid(-1.5, 0.25, EDGE_VALUES.size),
+                   EDGE_VALUES - 1j * EDGE_VALUES[::-1], "cyclic")
+    smooth = sample(lambda t: np.exp(-t * t), centered_grid(8.0, 64), "cyclic")
+    bank = LPBank.for_grid(p, smooth.grid)
+    objs = {"signal": signal_to_dict(edges),
+            "spectrum": spectrum_to_dict(saft_fast(make_plan(p, smooth.grid), smooth)),
+            "tf": tf_to_dict(stft(smooth, gaussian_window(smooth.grid))),
+            "lp": {str(j): signal_to_dict(b)
+                   for j, b in zip(bank.levels, lp_project(p, bank, smooth))}}
+    for name, obj in objs.items():
+        path = tmp_path / f"{name}.json"
+        save_json(obj, str(path))
+        ref = tmp_path / f"{name}-ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        assert path.read_bytes() == ref.read_bytes(), name
 
 
 def test_signal_csv_text_matches_hand_written_rows(tmp_path):

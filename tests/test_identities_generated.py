@@ -1,44 +1,22 @@
-"""Generated cases for three exact discrete identities.
+"""Generated cases for exact discrete identities.
 
 Each case draws a unimodular set with b of either sign, an odd or even N
-and a lattice-aligned grid origin off the centred one, in the style of the
-saft_fast-against-oracle test in test_engine.py.
+and a lattice-aligned grid origin off the centred one (strategies.cases).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from saftkit.aconv import aconv_fast
-from saftkit.engine import (apply_symbol, chirp_period_compatible, make_plan,
-                            saft_fast)
-from saftkit.grid import Grid, Signal, inner_product, lr_norm
+from saftkit.engine import (apply_symbol, chirp_period_compatible, isaft,
+                            make_plan, saft_fast)
+from saftkit.grid import Spectrum, inner_product, lr_norm
 from saftkit.multipliers import (LPBank, apply_multiplier, dyadic_bump,
                                  imaginary_power, indicator_symbol, lp_project,
                                  smoothed_sign)
 from saftkit.operators import a_translate_compose_check
-from saftkit.params import make_params, post_chirp
-
-
-@st.composite
-def cases(draw, min_count=16, signals=1, seam_exact=False):
-    """(params, signals...) on one cyclic grid of min_count..97 nodes.
-
-    seam_exact draws p so that the offset chirp completes a whole number of
-    cycles per window (chirp_period_compatible), which identities that move
-    mass across the cyclic seam need.
-    """
-    b = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
-    a, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    n = draw(st.integers(min_count, 97))
-    step = draw(st.floats(0.05, 0.5))
-    p = (draw(st.integers(-3, 3)) * b / (n * step) if seam_exact
-         else draw(st.floats(-1.0, 1.0)))
-    params = make_params(a, b, (a * d - 1.0) / b, d, p, draw(st.floats(-1.0, 1.0)))
-    offset = draw(st.integers(-n, n).filter(lambda k: k != 0))
-    grid = Grid((offset - n // 2) * step, step, n)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return (params, *(Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                             "cyclic") for _ in range(signals)))
+from saftkit.params import post_chirp
+from strategies import cases
 
 
 @settings(max_examples=80, deadline=None)
@@ -95,3 +73,20 @@ def test_multiplier_and_bank_exactness_generated(case, symbol):
                 for v in blocks[i + 1:]), default=0.0) <= 1e-12 * n22
     energy = sum(lr_norm(blk, 2) ** 2 for blk in blocks)
     assert abs(energy - lr_norm(covered, 2) ** 2) <= 1e-12 * n22
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases(min_count=32), widen=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_bank_blocks_match_spelled_out_projection_generated(case, widen):
+    # banks reach past the resolved levels too, where blocks are empty
+    params, f = case
+    plan = make_plan(params, f.grid)
+    widest = LPBank.for_grid(params, f.grid)
+    bank = LPBank(widest.j_min - widen[0], widest.j_max + widen[1])
+    F = saft_fast(plan, f)
+    w = F.freq_grid.nodes()
+    for j, blk in zip(bank.levels, lp_project(params, bank, f, plan), strict=True):
+        ref = isaft(plan, Spectrum(params, F.freq_grid, bank.block_mask(j, w) * F.samples),
+                    f.mode)
+        assert blk.grid == f.grid and blk.mode == f.mode
+        assert np.max(np.abs(blk.samples - ref.samples)) <= 1e-12 * np.max(np.abs(f.samples))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from saftkit.engine import apply_symbol, heat_evolve, make_plan, saft_fast, isaft
-from saftkit.grid import Signal, Spectrum, centered_grid, inner_product, lr_norm
+from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, inner_product,
+                          lr_norm)
 from saftkit.multipliers import (LPBank, apply_multiplier, dyadic_bump,
                                  hormander_scale_invariance,
                                  hormander_validate, imaginary_power,
@@ -161,6 +162,40 @@ def test_bank_for_grid_bounds():
 def test_bank_validation():
     with pytest.raises(ValueError):
         LPBank(3, 1)
+
+
+@pytest.mark.parametrize("b", (1.0, -1.0, 2.0, -0.5))
+@pytest.mark.parametrize("grid, on_nodes", (
+    (centered_grid(8.0, 256), True), (centered_grid(8.0, 257), True),
+    (Grid(-3.0, 1 / 32, 512), True), (Grid(-3.0, 1 / 32, 511), False)),
+    ids=("even", "odd", "offset_even", "offset_odd"))
+def test_block_ranges_are_the_block_mask(b, grid, on_nodes):
+    p = make_params(1.0, b, -4.0 / b, -3.0, 0.3, -0.2)
+    w = make_plan(p, grid).freq_grid.nodes()
+    widest = LPBank.for_grid(p, grid)
+    # where +-2^j are nodes, the closed and open block ends decide
+    assert on_nodes == all(2.0 ** j in w and -2.0 ** j in w for j in widest.levels)
+    for bank in (widest, LPBank(widest.j_min - 2, widest.j_max + 2)):
+        for j in bank.levels:
+            ranges = bank.block_ranges(j, w)
+            got = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+            assert np.array_equal(got, np.flatnonzero(bank.block_mask(j, w)))
+
+
+def test_lp_project_rejects_a_plan_for_another_grid():
+    grid = centered_grid(10.0, 256)
+    f = gaussian_mixture_family(grid, 1, 80)[0]
+    plan = make_plan(GENERIC, centered_grid(10.0, 128))
+    with pytest.raises(InputError, match="plan was built for a different grid"):
+        lp_project(GENERIC, LPBank.for_grid(GENERIC, grid), f, plan)
+
+
+@pytest.mark.parametrize("lo, hi", ((np.nan, 1.0), (0.0, np.inf), (2.0, 1.0), (1.0, 1.0)))
+def test_indicator_needs_finite_ordered_bounds(lo, hi):
+    with pytest.raises(InputError, match="finite lo < hi"):
+        indicator_symbol(lo, hi)
+    with pytest.raises(InputError, match="finite lo < hi"):
+        indicator_union([(-4.0, -2.0), (lo, hi)])
 
 
 def test_single_block_signal_projects_cleanly():

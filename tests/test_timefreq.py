@@ -21,6 +21,7 @@ from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               saft_stft_identity_check, stft, tf_to_dict,
                               weighted_tf_norm, window_flip)
 from saftkit.families import gaussian_mixture_family
+from strategies import cases
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
 PSETS = (fourier_params(), frft_params(np.pi / 4), GENERIC)
@@ -262,15 +263,8 @@ def test_a_mod_norm_index_monotonicity_bounded():
 
 @st.composite
 def amod_cases(draw):
-    """Unimodular sets (b of either sign), odd and even N, non-centred
-    lattice-aligned origins, every weight kind, and r, s in [1, 4]."""
-    b = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
-    a, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
-    params = make_params(a, b, (a * d - 1.0) / b, d, p, q)
-    n = draw(st.integers(16, 97))
-    step = draw(st.floats(0.05, 0.5))
-    grid = Grid((draw(st.integers(-n, n)) - n // 2) * step, step, n)
+    """Generated (params, f, g) with every weight kind, and r, s in [1, 4]."""
+    params, f, g = draw(cases(signals=2, off_centre=False))
     ell = draw(st.floats(0.0, 3.0))
     kind = draw(st.sampled_from(("unit", "radial", "transported",
                                  "freq_scaled", "sheared")))
@@ -281,9 +275,6 @@ def amod_cases(draw):
                                                 draw(st.floats(-3.0, 3.0))),
               "sheared": sheared_weight(radial_weight(ell),
                                         draw(st.floats(-3.0, 3.0)))}[kind]
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    f, g = (Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                   "cyclic") for _ in range(2))
     r, s = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
     return params, f, g, r, s, weight
 
