@@ -19,6 +19,8 @@ output table dt/sqrt|b| times one, so
     f = ifft(F * conj(post)) * conj(pre) * |b| / dt^2
 
 (F reversed first when b < 0), with the conjugates taken on the fly.
+project_ranges uses the same cancellation to cut one spectrum into
+blocks of index ranges with one forward FFT and no output table.
 
 make_plan is memoised on (params, grid): it keeps the most recently used
 plans within a count and a byte budget, so repeated one-shot calls on one
@@ -211,9 +213,36 @@ def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
     vals = np.conjugate(plan.post)
     vals *= F.samples[::-1] if plan.flip else F.samples
     vals *= abs(plan.params.b) / plan.grid.step ** 2
-    np.fft.ifft(vals, out=vals)
+    vals = np.fft.ifft(vals)
     vals *= np.conjugate(plan.pre)
     return Signal(plan.grid, vals, mode)
+
+
+def project_ranges(plan: SaftPlan, f: Signal, ranges) -> list[Signal]:
+    """Keep index ranges of the transform and invert, one block per entry,
+    all from one forward FFT.
+
+    ranges holds, for each block, (start, stop) pairs on the ascending
+    plan.freq_grid; block i is isaft(mask_i * saft_fast(f)) to rounding,
+    with mask_i the indicator of its ranges.  The output table cancels
+    between transform and inverse, so block i is
+    ifft(mask_i * fft(pre * f)) * conj(pre), the ranges mirrored into FFT
+    order when b < 0.  The blocks' samples are the rows of one
+    (blocks, N) array.
+    """
+    if not plan.grid.same_as(f.grid):
+        raise InputError("plan was built for a different grid")
+    n = plan.grid.count
+    raw = np.fft.fft(plan.pre * f.samples)
+    unpre = np.conjugate(plan.pre)
+    rows = np.zeros((len(ranges), n), dtype=complex)
+    for row, spans in zip(rows, ranges):
+        for lo, hi in spans:
+            if plan.flip:  # freq_grid is the FFT order reversed
+                lo, hi = n - hi, n - lo
+            row[lo:hi] = raw[lo:hi]
+        np.multiply(np.fft.ifft(row), unpre, out=row)
+    return [Signal(plan.grid, row, f.mode) for row in rows]
 
 
 def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:

@@ -7,13 +7,12 @@ a finite grid, truncated to the levels the grid resolves; shared dyadic
 endpoints belong to the lower block so the block indicators sum to
 exactly one on the covered range.
 
-lp_project computes the whole bank from one forward FFT.  The output
-table cancels between transform and inverse, and the FFT output is in
-centred order, along which w = b xi_k is monotone; so each block is two
-index ranges of that one spectrum (LPBank.block_ranges, found by binary
-search with the same closed and open ends as block_mask), copied into a
-zeroed row, inverted in place and multiplied by the conjugate input
-table.  No level builds a mask or divides.
+lp_project computes the whole bank from one forward FFT.  w is monotone
+along the induced frequency grid, so each block is two index ranges of
+it (LPBank.block_ranges, found by binary search with the same closed and
+open ends as block_mask), and engine.project_ranges copies those ranges
+of the one spectrum into zeroed rows and inverts them.  No level builds
+a mask or divides.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aconv import aconv_fast
-from .engine import SaftPlan, apply_symbol, make_plan
+from .engine import SaftPlan, apply_symbol, make_plan, project_ranges
 from .grid import Grid, Signal, lr_norm
 from .operators import a_translate
 from .params import InputError, SaftParams
@@ -232,32 +231,12 @@ class LPBank:
 def lp_project(params: SaftParams, bank: LPBank, f: Signal,
                plan: SaftPlan | None = None) -> list[Signal]:
     """Block projections S_j f: the indicator of each dyadic block in the
-    transform domain, all from one forward FFT.
-
-    The post table cancels between the transform and its inverse, so block
-    j is ifft(mask_j * fft(pre * f)) * conj(pre), with mask_j in FFT order.
-    That order is centred, so w = b xi_k is monotone along it, and each
-    block's bins are the two index ranges of block_ranges (mirrored when
-    b < 0), copied from the one spectrum into a zeroed row.  The blocks'
-    samples are the rows of one (levels, N) array.
-    """
+    transform domain, all from one forward FFT (engine.project_ranges),
+    each block given as the two index ranges of block_ranges."""
     if plan is None:
         plan = make_plan(params, f.grid)
-    if not plan.grid.same_as(f.grid):
-        raise InputError("plan was built for a different grid")
-    n = plan.grid.count
-    raw = np.fft.fft(plan.pre * f.samples)
     w = plan.freq_grid.nodes()
-    unpre = np.conjugate(plan.pre)
-    rows = np.zeros((len(bank.levels), n), dtype=complex)
-    for row, j in zip(rows, bank.levels):
-        for lo, hi in bank.block_ranges(j, w):
-            if plan.flip:  # freq_grid is the FFT order reversed
-                lo, hi = n - hi, n - lo
-            row[lo:hi] = raw[lo:hi]
-        np.fft.ifft(row, out=row)
-        row *= unpre
-    return [Signal(plan.grid, row, f.mode) for row in rows]
+    return project_ranges(plan, f, [bank.block_ranges(j, w) for j in bank.levels])
 
 
 def square_function(blocks: list[Signal]) -> Signal:

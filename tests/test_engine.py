@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from saftkit import engine
 from saftkit.engine import (apply_symbol, chirp_period_compatible,
                             dft_frequencies, heat_evolve, isaft, make_plan,
-                            saft, saft_fast, saft_oracle, sinc_reference,
+                            project_ranges, saft, saft_fast, saft_oracle, sinc_reference,
                             spectrum_grid, twisted_derivative)
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, lr_norm,
                           sample, spectrum_norm)
@@ -335,6 +335,34 @@ def test_apply_symbol_matches_spelled_out_path(p, grid):
             out = apply_symbol(plan, f, values)
             assert out.mode == mode and out.grid == grid
             assert np.array_equal(out.samples, ref.samples)
+
+
+@pytest.mark.parametrize("p", (GENERIC, make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1)),
+                         ids=("generic", "neg_b"))
+@pytest.mark.parametrize("grid", (centered_grid(10.0, 256), Grid(-3.7, 0.05, 255)),
+                         ids=("even", "odd_noncentered"))
+def test_project_ranges_matches_spelled_out_path(p, grid):
+    plan = make_plan(p, grid)
+    n = grid.count
+    ranges = ([(0, n)], [], [(0, 1), (n - 1, n)], [(3, 40), (100, 101), (200, 250)])
+    for mode in ("cyclic", "compact"):
+        f = _noise(grid, 37, mode)
+        blocks = project_ranges(plan, f, ranges)
+        assert len(blocks) == len(ranges)
+        for spans, blk in zip(ranges, blocks):
+            mask = np.zeros(n)
+            for lo, hi in spans:
+                mask[lo:hi] = 1.0
+            ref = isaft(plan, Spectrum(p, plan.freq_grid,
+                                       mask * saft_fast(plan, f).samples), mode)
+            assert blk.mode == mode and blk.grid == grid
+            assert np.max(np.abs(blk.samples - ref.samples)) <= 1e-12 * np.max(np.abs(f.samples))
+
+
+def test_project_ranges_rejects_a_plan_for_another_grid():
+    plan = make_plan(GENERIC, centered_grid(4.0, 64))
+    with pytest.raises(InputError, match="plan was built for a different grid"):
+        project_ranges(plan, _noise(centered_grid(4.0, 65), 2), [[(0, 5)]])
 
 
 @pytest.mark.parametrize("shape", ((63,), (64, 1), ()))
