@@ -11,14 +11,15 @@ exception is a fault of the program and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from . import bench as bench_mod
 from .aconv import aconv_fast, aconv_oracle, approx_identity_run, young_check
-from .engine import (heat_evolve, isaft, make_plan, saft_fast, saft_oracle,
-                     twisted_derivative)
+from .engine import (chirp_period_compatible, heat_evolve, isaft, make_plan,
+                     saft_fast, saft_oracle, twisted_derivative)
 from .families import bandlimited_family, covered_family
 from .grid import (Grid, Signal, centered_grid, load_signal, load_signal_csv,
                    load_spectrum, save_columns_csv, save_json, save_signal,
@@ -39,6 +40,19 @@ from .verify import VALID_SIZES, run_verify
 WINDOWS = {"gaussian": gaussian_window, "raisedcos": raised_cosine_window}
 
 
+def _reasoned(parse):
+    """argparse type: `parse`, with the library's InputError reason in the
+    usage error (argparse reports a plain ValueError without its text)."""
+    @functools.wraps(parse)
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return wrapped
+
+
+@_reasoned
 def parse_params(text: str) -> SaftParams:
     """fourier | frft:THETA | fresnel:B | a,b,c,d,p,q"""
     if text == "fourier":
@@ -56,6 +70,7 @@ def parse_params(text: str) -> SaftParams:
         "expected fourier | frft:THETA | fresnel:B | a,b,c,d,p,q")
 
 
+@_reasoned
 def parse_symbol(text: str) -> SymbolSpec:
     """imagpow:ALPHA | smoothsign:S | dyadicbump:J | indicator:LO,HI"""
     kind, _, arg = text.partition(":")
@@ -71,6 +86,7 @@ def parse_symbol(text: str) -> SymbolSpec:
     raise argparse.ArgumentTypeError(f"unknown symbol spec: {text!r}")
 
 
+@_reasoned
 def parse_weight(text: str):
     if text == "unit":
         return unit_weight()
@@ -293,6 +309,11 @@ def _run(args) -> int:
 
     if args.command == "aconv":
         f, g = _read_pair(args.inputs, args.mode)
+        if (args.mode == "cyclic" and not args.oracle
+                and not chirp_period_compatible(P, f.grid)):
+            print("saftkit aconv: warning: p * (N dt) / b is not an integer, so "
+                  "identities that move mass across the window seam are not "
+                  "exact for this cyclic convolution", file=sys.stderr)
         conv = (aconv_oracle(P, f, g) if args.oracle
                 else aconv_fast(P, f, g, args.mode))
         _write_signal(conv, args.outfile)

@@ -189,11 +189,14 @@ def sheared_weight(inner: WeightSpec, s: float) -> WeightSpec:
 
 
 def weight_eval(w: WeightSpec, x, omega):
-    """Evaluate the weight at (x, omega); accepts scalars or broadcastable arrays."""
+    """Evaluate the weight at (x, omega); accepts scalars or broadcastable arrays.
+
+    The unit weight comes back as a read-only broadcast view of 1.0.
+    """
     x = np.asarray(x, dtype=float)
     om = np.asarray(omega, dtype=float)
     if w.kind == "unit":
-        return np.ones(np.broadcast(x, om).shape)
+        return np.broadcast_to(1.0, np.broadcast(x, om).shape)
     if w.kind == "radial":
         return (1.0 + x * x + om * om) ** (w.ell / 2.0)
     if w.kind == "transported":

@@ -6,14 +6,17 @@ the discrete Moyal identity exact in cyclic mode.  Modulation-space norms
 are computed through the STFT via f * M_w g(x) = exp(2 pi i w x)
 V_{g~} f(x, w) with the flipped window g~(t) = conj(g(-t)).
 
-No kernel here evaluates an N x N table of exponentials or modulo indices.
-Modulating by a lattice frequency shifts a DFT cyclically (the shift
-identity behind V_g f(x, w) = e^{-2 pi i x w} V_{g^} f^(w, -x)), so
-a_mod_norm reads every modulated window's spectrum from one FFT, and the
-STFT reads its window rows from a strided view of one padded window.  The
-two norms stay on independent kernels: a_mod_norm works on the frequency
-side (inverse FFTs of spectrum products), mod_norm on the time side (FFTs
-of windowed products), which is what makes their scaling identity a test.
+No kernel here evaluates an N x N table of exponentials or modulo indices,
+or gathers a copy of its rows.  Modulating by a lattice frequency shifts a
+DFT cyclically (the shift identity behind
+V_g f(x, w) = e^{-2 pi i x w} V_{g^} f^(w, -x)), so a_mod_norm reads every
+modulated window's spectrum from one FFT, and the STFT reads its window
+rows from one padded window: in both, a block of rows is one reversed
+strided view (row m starts one sample before row m - 1), which a single
+multiply turns into the block the row-wise FFT takes.  The two norms stay
+on independent kernels: a_mod_norm works on the frequency side (inverse
+FFTs of spectrum products), mod_norm on the time side (FFTs of windowed
+products), which is what makes their scaling identity a test.
 Both reduce row blocks as they are made, so they run at any N in bounded
 memory; STFT_MAX_COUNT bounds only stft, which returns the whole table.
 """
@@ -63,31 +66,44 @@ def _stft_rows(f: Signal, g: Signal):
     """Yield (lo, block) with block[i, k] = V(x_{lo+i}, xi_k), in row blocks
     of at most TF_BLOCK_ENTRIES values.
 
-    Row m needs conj(g) at sample n - m - k0 for n = 0..N-1: a window of
-    the doubled conj(g) in cyclic mode, or of the zero-padded one in
-    compact mode, gathered from a strided view.  The centring phase
-    exp(2 pi i n floor(N/2) / N) on f puts each FFT row in centered order,
-    and dt times the grid-origin phase is one column multiply.
+    Row m needs conj(g) at sample n - m - k0 for n = 0..N-1, the window of
+    one padded conj(g) that starts at top - m: the tripled conj(g) in
+    cyclic mode, the zero-padded one in compact mode.  So a block's window
+    rows are one reversed strided view, and one multiply by
+    fc = dt * f * exp(2 pi i n floor(N/2) / N) (the centring phase puts
+    each FFT row in centered order) builds the block without a gathered
+    copy.  One row-wise FFT and the unit grid-origin phase per column
+    finish it.  In compact mode a row whose window starts outside the
+    padded array lies wholly in the padding and stays zero.
     """
     _require_same_grid(f, g)
     grid = f.grid
     n = grid.count
     k0 = grid.steps_of(grid.start, "STFT needs the grid origin on the step lattice")
     cg = np.conj(g.samples)
-    m = np.arange(n)
     if f.mode == "cyclic":
-        padded, first = np.concatenate((cg, cg)), (-m - k0) % n
+        padded, top = np.concatenate((cg, cg, cg)), n + (-k0) % n
     else:
         zero = np.zeros(n, dtype=complex)
-        # a window starting outside [0, 2N] lies wholly in the zero padding
-        padded, first = np.concatenate((zero, cg, zero)), np.clip(n - m - k0, 0, 2 * n)
+        padded, top = np.concatenate((zero, cg, zero)), n - k0
     windows = sliding_window_view(padded, n)
-    fc = f.samples * np.exp(2j * np.pi / n * (m * (n // 2) % n))
-    col = grid.step * np.exp(-2j * np.pi * dft_frequencies(grid) * grid.start)
+    last = len(windows) - 1  # window starts run over 0..2N
+    fc = grid.step * f.samples * np.exp(2j * np.pi / n * (np.arange(n) * (n // 2) % n))
+    col = np.exp(-2j * np.pi * dft_frequencies(grid) * grid.start)
     rows = max(1, TF_BLOCK_ENTRIES // n)
+
+    def window_rows(a: int, b: int):  # rows a..b-1, for top - last <= a < b <= top + 1
+        return windows[top - a:top - b if top >= b else None:-1]
+
     for lo in range(0, n, rows):
-        block = windows[first[lo:lo + rows]]
-        block *= fc
+        hi = min(lo + rows, n)
+        a, b = max(lo, top - last), min(hi, top + 1)
+        if (a, b) == (lo, hi):
+            block = np.multiply(window_rows(lo, hi), fc)
+        else:  # compact mode: the other rows' windows lie in the padding
+            block = np.zeros((hi - lo, n), dtype=complex)
+            if a < b:
+                np.multiply(window_rows(a, b), fc, out=block[a - lo:b - lo])
         block = np.fft.fft(block, axis=1)
         block *= col
         yield lo, block
@@ -96,19 +112,24 @@ def _stft_rows(f: Signal, g: Signal):
 def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
     """V(x_m, xi_k) = dt * sum_n f(t_n) conj(g(t_n - x_m)) e^{-2 pi i xi_k t_n}.
 
-    One FFT per window position, batched over row blocks.  Cyclic mode
-    wraps the window (needed for the exact full-lattice Moyal identity);
-    compact mode zero-fills outside the grid.  N above STFT_MAX_COUNT is
-    rejected before the N x N table is allocated.
+    One FFT per window position, batched over the row blocks of
+    _stft_rows (one multiply of a reversed window view by f per block);
+    for N <= 512 the table is one block and is returned as made.  Cyclic
+    mode wraps the window (needed for the exact full-lattice Moyal
+    identity); compact mode zero-fills outside the grid.  N above
+    STFT_MAX_COUNT is rejected before the N x N table is allocated.
     """
     grid = f.grid
     n = grid.count
     if n > STFT_MAX_COUNT:
         raise InputError(f"stft returns a dense N x N table; N = {n} is above "
                          f"the limit of {STFT_MAX_COUNT} samples")
-    vals = np.empty((n, n), dtype=complex)
-    for lo, block in _stft_rows(f, g):
-        vals[lo:lo + len(block)] = block
+    if n * n <= TF_BLOCK_ENTRIES:  # one block: the table as made
+        _, vals = next(_stft_rows(f, g))
+    else:
+        vals = np.empty((n, n), dtype=complex)
+        for lo, block in _stft_rows(f, g):
+            vals[lo:lo + len(block)] = block
     return TFMatrix(grid, _freq_grid(grid), vals, window_id)
 
 
@@ -276,9 +297,9 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     A-modulation multiplies g by a unimodular row constant times
     exp(2 pi i (k - floor(N/2)) n / N), so the transform of the chirped,
     modulated window is G = fft(quad_chirp g) shifted cyclically by
-    k - floor(N/2).  Each block of frequency rows reads G through a
-    strided view of the doubled G, multiplies by U = fft(quad_chirp f) and
-    takes one inverse FFT along the rows; the unimodular constants drop out
+    k - floor(N/2).  Each block of frequency rows is one reversed strided
+    view of the tripled G, multiplied by U = fft(quad_chirp f) in one pass,
+    and one inverse FFT along the rows; the unimodular constants drop out
     of |.|.  The weight is evaluated on the twisted-side lattice w = b xi.
     A block holds at most TF_BLOCK_ENTRIES complex values, so memory stays
     bounded at any N.
@@ -296,8 +317,10 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     qc = quad_chirp(params, x)
     U = np.fft.fft(qc * f.samples)
     G = np.fft.fft(qc * g.samples)
-    windows = sliding_window_view(np.concatenate((G, G)), n)
-    first = (n // 2 - np.arange(n)) % n  # row k reads G[(j - k + N/2) mod N]
+    # row k reads G[(j - k + N/2) mod N]: the window of the tripled G that
+    # starts at top - k, so a block of rows is one reversed strided view
+    windows = sliding_window_view(np.concatenate((G, G, G)), n)
+    top = n + n // 2
     # inverse-FFT index j holds the convolution at x_{(j + k0) mod N}, and
     # the output chirp has modulus dt / sqrt|b|
     xj = x[(np.arange(n) + k0) % n]
@@ -305,11 +328,11 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     inner = np.empty(n)
     rows = max(1, TF_BLOCK_ENTRIES // n)
     for lo in range(0, n, rows):
-        block = windows[first[lo:lo + rows]]
-        block *= U
+        hi = min(lo + rows, n)
+        block = np.multiply(windows[top - lo:top - hi:-1], U)
         conv = np.abs(np.fft.ifft(block, axis=1))
-        conv *= weight_eval(m, xj, omegas[lo:lo + rows, None])
-        inner[lo:lo + rows] = np.sum(conv ** r, axis=1)
+        conv *= weight_eval(m, xj, omegas[lo:hi, None])
+        inner[lo:hi] = np.sum(conv ** r, axis=1)
     inner *= grid.step * scale ** r
     dxi = 1.0 / grid.span
     return float((abs(params.b) * dxi * np.sum(inner ** (s / r))) ** (1.0 / s))

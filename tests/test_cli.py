@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
+from saftkit.aconv import aconv_fast
 from saftkit.engine import heat_evolve, make_plan, saft_fast
 from saftkit.grid import (Grid, Signal, centered_grid, load_signal,
                           load_spectrum, save_signal)
@@ -275,6 +276,53 @@ def test_cli_non_finite_params_exit_2(text, signal_file, tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --params:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", (
+    (["mult", "--symbol", "indicator:2,1", "--in", "IN", "--out", "OUT"],
+     "--symbol: indicator interval needs finite lo < hi, got [2.0, 1.0)"),
+    (["saft", "--params=1,2,3,4", "--in", "IN", "--out", "OUT"],
+     "--params: parameter matrix must be unimodular: ad-bc = -2.0"),
+    (["saft", "--params", "frft:0", "--in", "IN", "--out", "OUT"],
+     "--params: fractional angle must have sin(theta) != 0"),
+    (["mult", "--symbol", "smoothsign:-1", "--in", "IN", "--out", "OUT"],
+     "--symbol: transition scale must be positive"),
+    (["modnorm", "-r", "2", "-s", "2", "--weight", "v_ell:-1", "--in", "IN"],
+     "--weight: weight exponent must be >= 0"),
+), ids=("indicator", "not-unimodular", "frft-0", "smoothsign", "v_ell"))
+def test_cli_rejected_option_value_names_the_reason(argv, reason, signal_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "o.json"
+    files = {"IN": signal_file[0], "OUT": str(out)}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert f"error: argument {reason}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("half, warned", ((10.0, False), (8.0, True)))
+def test_cli_aconv_cyclic_warns_off_the_chirp_period(half, warned, tmp_path,
+                                                     capsys):
+    # generic set: p * (N dt) / b = 0.3 * 2 half / 2 is 3 at half = 10, 2.4 at 8
+    text = "1,2,-2,-3,0.3,-0.2"
+    grid = centered_grid(half, 64)
+    f, g = gaussian_mixture_family(grid, 2, 5)
+    paths = [str(tmp_path / name) for name in ("f.json", "g.json")]
+    for sig, path in zip((f, g), paths):
+        save_signal(sig, path)
+    out = tmp_path / "h.json"
+    assert main(["aconv", f"--params={text}", "--mode", "cyclic", *paths,
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    if warned:
+        assert err.startswith("saftkit aconv: warning: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+    h = load_signal(str(out))
+    ref = aconv_fast(parse_params(text), Signal(grid, f.samples, "cyclic"),
+                     Signal(grid, g.samples, "cyclic"), "cyclic")
+    assert np.array_equal(h.samples, ref.samples) and h.grid == ref.grid
 
 
 def test_cli_saft_oracle_matches_fast(signal_file, tmp_path):

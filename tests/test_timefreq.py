@@ -64,11 +64,15 @@ def _stft_quadrature(f, g):
 
 
 @pytest.mark.parametrize("mode", ("cyclic", "compact"))
-@pytest.mark.parametrize("n", (15, 16, 17, 64, 97))
-@pytest.mark.parametrize("origin", ("-N/2", "-N/2+3", "0", "-N", "2N", "-3N"))
+# N = 600 takes TF_BLOCK_ENTRIES // 600 = 436 rows per block, so the last
+# block is partial; in compact mode N/2 and -3N/2 put some rows of a block
+# wholly in the zero padding, and 2N and -3N all of them.
+@pytest.mark.parametrize("n", (15, 16, 17, 64, 97, 600))
+@pytest.mark.parametrize("origin", ("-N/2", "-N/2+3", "0", "-N", "2N", "-3N",
+                                    "N/2", "-3N/2"))
 def test_stft_matches_direct_quadrature(mode, n, origin):
     k0 = {"-N/2": -(n // 2), "-N/2+3": 3 - n // 2, "0": 0, "-N": -n,
-          "2N": 2 * n, "-3N": -3 * n}[origin]
+          "2N": 2 * n, "-3N": -3 * n, "N/2": n // 2, "-3N/2": -(3 * n // 2)}[origin]
     grid = Grid(k0 * 0.1, 0.1, n)
     rng = np.random.default_rng([n, k0 % 1000])
     f, g = (Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
