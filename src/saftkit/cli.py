@@ -138,7 +138,10 @@ def _write_signal(f: Signal, path: str):
     (save_signal_csv if path.endswith(".csv") else save_signal)(f, path)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every call gets a fresh namespace."""
     top = argparse.ArgumentParser(prog="saftkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -405,7 +408,7 @@ def _run(args) -> int:
         if args.kind == "hormander":
             sym = imaginary_power(1.0)
             fam = bandlimited_family(grid, args.count, args.seed)
-            ratio = multiplier_norm_probe(P, sym, args.r, fam)
+            ratio, = multiplier_norm_probe(P, sym, (args.r,), fam)
             omegas = np.linspace(-10, 10, 401)
             res = hormander_validate(sym, omegas)
             c1, c2 = hormander_scale_invariance(sym, P.b, omegas)
@@ -414,7 +417,7 @@ def _run(args) -> int:
         else:
             bank = LPBank.for_grid(P, grid)
             fam = covered_family(P, bank, grid, args.count, args.seed)
-            res = lp_ratio_probe(P, bank, args.r, fam)
+            res, = lp_ratio_probe(P, bank, (args.r,), fam)
             print(f"min ratio={res['min_ratio']:.6f} "
                   f"max ratio={res['max_ratio']:.6f}")
         return 0

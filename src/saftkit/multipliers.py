@@ -159,16 +159,18 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
     return c1, c2
 
 
-def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, r: float,
-                          family: list[Signal]) -> float:
-    """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid)."""
+def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, rs: tuple[float, ...],
+                          family: list[Signal]) -> list[float]:
+    """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid),
+    one per exponent r in rs, in that order.  Each member is transformed
+    once; every r-norm is taken of that one output."""
     if not family:
         raise InputError("the probe family is empty")
     plan = make_plan(params, family[0].grid)
-    worst = 0.0
+    worst = [0.0] * len(rs)
     for f in family:
         out = apply_multiplier(params, m, f, plan)
-        worst = max(worst, lr_norm(out, r) / lr_norm(f, r))
+        worst = [max(w, lr_norm(out, r) / lr_norm(f, r)) for w, r in zip(worst, rs)]
     return worst
 
 
@@ -252,18 +254,21 @@ def square_function(blocks: list[Signal]) -> Signal:
     return Signal(grid, np.sqrt(acc).astype(complex), blocks[0].mode)
 
 
-def lp_ratio_probe(params: SaftParams, bank: LPBank, r: float,
-                   family: list[Signal]) -> dict:
+def lp_ratio_probe(params: SaftParams, bank: LPBank, rs: tuple[float, ...],
+                   family: list[Signal]) -> list[dict]:
     """Empirical min/max of ||square_function(f)||_r / ||f||_r over the family
-    (one grid)."""
+    (one grid): one {"min_ratio", "max_ratio"} dict per exponent r in rs, in
+    that order.  Each member is projected once; every r-norm is taken of
+    that one square function."""
     if not family:
         raise InputError("the probe family is empty")
     plan = make_plan(params, family[0].grid)
-    ratios = []
+    ratios = [[] for _ in rs]
     for f in family:
         sf = square_function(lp_project(params, bank, f, plan))
-        ratios.append(lr_norm(sf, r) / lr_norm(f, r))
-    return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios))}
+        for acc, r in zip(ratios, rs):
+            acc.append(lr_norm(sf, r) / lr_norm(f, r))
+    return [{"min_ratio": float(min(v)), "max_ratio": float(max(v))} for v in ratios]
 
 
 def wendel_commute_check(params: SaftParams, u: Signal, x: float,

@@ -191,11 +191,12 @@ def sheared_weight(inner: WeightSpec, s: float) -> WeightSpec:
 def weight_eval(w: WeightSpec, x, omega):
     """Evaluate the weight at (x, omega); accepts scalars or broadcastable arrays.
 
-    The unit weight comes back as a read-only broadcast view of 1.0.
+    The unit weight, and a radial or transported one with ell = 0, comes back
+    as a read-only broadcast view of 1.0.
     """
     x = np.asarray(x, dtype=float)
     om = np.asarray(omega, dtype=float)
-    if w.kind == "unit":
+    if w.kind == "unit" or (w.kind in ("radial", "transported") and w.ell == 0):
         return np.broadcast_to(1.0, np.broadcast(x, om).shape)
     if w.kind == "radial":
         return (1.0 + x * x + om * om) ** (w.ell / 2.0)

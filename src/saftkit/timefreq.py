@@ -15,8 +15,9 @@ rows from one padded window: in both, a block of rows is one reversed
 strided view (row m starts one sample before row m - 1), which a single
 multiply turns into the block the row-wise FFT takes.  The two norms stay
 on independent kernels: a_mod_norm works on the frequency side (inverse
-FFTs of spectrum products), mod_norm on the time side (FFTs of windowed
-products), which is what makes their scaling identity a test.
+FFTs of spectrum products, or at r = 2 their Parseval sums), mod_norm on
+the time side (FFTs of windowed products), which is what makes their
+scaling identity a test.
 Both reduce row blocks as they are made, so they run at any N in bounded
 memory; STFT_MAX_COUNT bounds only stft, which returns the whole table.
 """
@@ -176,6 +177,34 @@ def _relative(dev: np.ndarray, V0: np.ndarray) -> float:
     return float(np.max(np.abs(dev)) / peak) if peak > 0 else 0.0
 
 
+def _shift_rows(M: np.ndarray, sign: int, shifts) -> np.ndarray:
+    """out[r, i] = M[r, sign * i + shifts[r]] on centred column indices mod N
+    (i = -N//2 .. N - 1 - N//2): a roll per row, after a reversal about the
+    centre when sign = -1.  Pure data movement, two slice copies per row."""
+    n = M.shape[1]
+    if sign < 0:  # M[r, k - i] is the reversed row read at i + (N - 1 - 2 (N//2)) - k
+        M = M[:, ::-1]
+        shifts = (n - 1 - 2 * (n // 2)) - np.asarray(shifts)
+    out = np.empty(M.shape, M.dtype)  # C order, also for a transposed M
+    for row, src, k in zip(out, M, (np.asarray(shifts) % n).tolist()):
+        row[:n - k] = src[k:]
+        row[n - k:] = src[:k]
+    return out
+
+
+def _lattice_map(V: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """out[i, j] = V[d i - b j, a j - c i] on centred indices mod N, for an
+    integer matrix with ad - bc = 1 and b = +-1.
+
+    With u = d i - b j these give j = b (d i - u) and a j - c i = b i - a b u,
+    so out[i, j] = W[u, i] with W[u, i] = V[u, b i - a b u]: two passes of
+    row shifts with a transpose between them, and no index table.
+    """
+    centred = np.arange(V.shape[0]) - V.shape[0] // 2
+    W = _shift_rows(V, b, -a * b * centred)  # W[u, i] = V[u, b i - a b u]
+    return _shift_rows(W.T, -b, d * centred)
+
+
 def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
     """Relative deviation in V_{C_s g}(C_s f)(x, w) = e^{-i pi s x^2} V_g f(x, w - s x).
 
@@ -189,12 +218,9 @@ def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
                                     "must be a multiple of the frequency step")
     lhs = stft(chirp(f, s), chirp(g, s)).values
     x = f.grid.nodes()
-    n = f.grid.count
     # row m of the right side is row m of V0 rolled by shear_base + m * shear_step
-    shift = shear_base + np.arange(n) * shear_step
-    cols = (np.arange(n)[None, :] - shift[:, None]) % n
-    rhs = (np.exp(-1j * np.pi * s * x * x)[:, None]
-           * np.take_along_axis(V0.values, cols, axis=1))
+    shift = shear_base + np.arange(f.grid.count) * shear_step
+    rhs = np.exp(-1j * np.pi * s * x * x)[:, None] * _shift_rows(V0.values, 1, -shift)
     return _relative(lhs - rhs, V0.values)
 
 
@@ -249,12 +275,7 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     Gs = Signal(G.freq_grid, G.samples, "cyclic")
     VA = np.abs(stft(Fs, Gs).values)
     V0 = np.abs(stft(f, g).values)
-    h = n // 2
-    i = np.arange(n)[:, None] - h
-    jj = np.arange(n)[None, :] - h
-    iu = (di * i - bi * jj + h) % n
-    jv = (ai * jj - ci * i + h) % n
-    return _relative(VA - V0[iu, jv], V0)
+    return _relative(VA - _lattice_map(V0, ai, bi, ci, di), V0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +322,10 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     view of the tripled G, multiplied by U = fft(quad_chirp f) in one pass,
     and one inverse FFT along the rows; the unimodular constants drop out
     of |.|.  The weight is evaluated on the twisted-side lattice w = b xi.
+    At r = 2 with the unit weight each row's sum of |conv|^2 is, by
+    Parseval, sum_j |G_shift|^2 |U_j|^2 / N, so that case takes the same
+    strided view of the tripled |G|^2 times |U|^2 / N as one real matvec
+    per block, and makes no inverse FFT.
     A block holds at most TF_BLOCK_ENTRIES complex values, so memory stays
     bounded at any N.
     """
@@ -317,6 +342,9 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     qc = quad_chirp(params, x)
     U = np.fft.fft(qc * f.samples)
     G = np.fft.fft(qc * g.samples)
+    parseval = r == 2 and m.kind == "unit"
+    if parseval:
+        U, G = np.abs(U) ** 2 / n, np.abs(G) ** 2
     # row k reads G[(j - k + N/2) mod N]: the window of the tripled G that
     # starts at top - k, so a block of rows is one reversed strided view
     windows = sliding_window_view(np.concatenate((G, G, G)), n)
@@ -329,6 +357,9 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     rows = max(1, TF_BLOCK_ENTRIES // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
+        if parseval:
+            inner[lo:hi] = windows[top - lo:top - hi:-1] @ U
+            continue
         block = np.multiply(windows[top - lo:top - hi:-1], U)
         conv = np.abs(np.fft.ifft(block, axis=1))
         conv *= weight_eval(m, xj, omegas[lo:hi, None])

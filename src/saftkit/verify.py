@@ -441,14 +441,13 @@ def tier3(params: SaftParams, size: int, seed: int,
     sizes = (256, 512, 1024)
 
     sym = imaginary_power(1.0)
-    ratios = {r: [] for r in (4.0 / 3.0, 2.0, 4.0)}
+    by_size = []
     for n in sizes:
-        g = centered_grid(HALF_WIDTH, n)
-        fam = bandlimited_family(g, 8, seed + 9)
-        for r in ratios:
-            ratios[r].append(multiplier_norm_probe(params, sym, r, fam))
-    stable = all(max(v) / min(v) <= 2.0 for v in ratios.values())
-    worst = max(max(v) for v in ratios.values())
+        fam = bandlimited_family(centered_grid(HALF_WIDTH, n), 8, seed + 9)
+        by_size.append(multiplier_norm_probe(params, sym, (4.0 / 3.0, 2.0, 4.0), fam))
+    ratios = list(zip(*by_size))  # per r, the ratios over the sizes
+    stable = all(max(v) / min(v) <= 2.0 for v in ratios)
+    worst = max(max(v) for v in ratios)
     g = centered_grid(HALF_WIDTH, 512)
     c1, c2 = hormander_scale_invariance(
         sym, params.b, dft_frequencies(g) * params.b)
@@ -458,18 +457,18 @@ def tier3(params: SaftParams, size: int, seed: int,
                               f"scale-invariant decay constant (|dC|={abs(c1 - c2):.1e})",
                               10.0, worst, bool(ok)))
 
-    mins, maxs = {r: [] for r in (4.0 / 3.0, 4.0)}, {r: [] for r in (4.0 / 3.0, 4.0)}
+    by_size = []
     for n in sizes:
         g = centered_grid(HALF_WIDTH, n)
         bank = LPBank.for_grid(params, g)
         fam = covered_family(params, bank, g, 8, seed + 10)
-        for r in mins:
-            res = lp_ratio_probe(params, bank, r, fam)
-            mins[r].append(res["min_ratio"])
-            maxs[r].append(res["max_ratio"])
-    positive = all(v > 0 for r in mins for v in mins[r])
-    stable = all(max(maxs[r]) / min(mins[r]) <= 2.0 for r in mins)
-    obs = max(max(v) for v in maxs.values())
+        by_size.append(lp_ratio_probe(params, bank, (4.0 / 3.0, 4.0), fam))
+    # per r, the min and max ratios over the sizes
+    mins = [[res["min_ratio"] for res in v] for v in zip(*by_size)]
+    maxs = [[res["max_ratio"] for res in v] for v in zip(*by_size)]
+    positive = all(v > 0 for lo in mins for v in lo)
+    stable = all(max(hi) / min(lo) <= 2.0 for lo, hi in zip(mins, maxs))
+    obs = max(max(hi) for hi in maxs)
     checks.append(CheckResult("T3.24", "square-function probe: ratios "
                               "positive and stable within 2x under N "
                               f"doubling (max {obs:.4f})", 2.0, obs,

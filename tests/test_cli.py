@@ -419,6 +419,29 @@ def test_cli_plotdata_heat_snapshots(signal_file, tmp_path):
     assert rows == ref
 
 
+def test_cli_main_keeps_no_state_between_calls(signal_file, tmp_path, monkeypatch):
+    """The parser is built once per process, yet each call parses into a
+    fresh namespace, and a list default stays as declared after a command
+    has used it."""
+    from saftkit import cli
+    seen, run = [], cli._run
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args).copy()) or run(args))
+    path, _ = signal_file
+    out = str(tmp_path / "u.csv")
+    heat = ["plotdata", "--kind", "heat_snapshots", "--in", path, "--out", out]
+    assert main([*heat, f"--params={GENERIC_TEXT}"]) == 0
+    assert main(["saft", "--in", path, "--out", str(tmp_path / "F.json")]) == 0
+    assert main([*heat, "--t", "0.1,0.3"]) == 0
+    assert main(heat) == 0
+    first, second, third, fourth = seen
+    assert first["t"] == [0.05, 0.2] and first["params"] == parse_params(GENERIC_TEXT)
+    assert second["command"] == "saft" and "t" not in second and "kind" not in second
+    assert second["params"] == fourier_params()
+    assert third["t"] == [0.1, 0.3]
+    assert fourth["t"] == [0.05, 0.2] and fourth["params"] == fourier_params()
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("argv, option", (
     (["verify", "--tiers", "1,x", "--no-bench"], "--tiers"),
     (["bench", "--sizes", "512,a"], "--sizes"),

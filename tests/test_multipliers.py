@@ -118,14 +118,14 @@ def test_multiplier_rejects_nonfinite_symbol():
 def test_norm_probe_identity_symbol():
     grid = centered_grid(10.0, 256)
     fam = bandlimited_family(grid, 4, 84)
-    ratio = multiplier_norm_probe(GENERIC, imaginary_power(0.0), 3.0, fam)
+    ratio, = multiplier_norm_probe(GENERIC, imaginary_power(0.0), (3.0,), fam)
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
 def test_norm_probe_unimodular_at_r2():
     grid = centered_grid(10.0, 256)
     fam = bandlimited_family(grid, 4, 85)
-    ratio = multiplier_norm_probe(GENERIC, imaginary_power(1.0), 2.0, fam)
+    ratio, = multiplier_norm_probe(GENERIC, imaginary_power(1.0), (2.0,), fam)
     assert ratio == pytest.approx(1.0, abs=1e-10)
 
 
@@ -134,9 +134,34 @@ def test_norm_probe_smoothed_sign_stable():
     for n in (256, 512):
         grid = centered_grid(10.0, n)
         fam = bandlimited_family(grid, 6, 86)
-        vals.append(multiplier_norm_probe(GENERIC, smoothed_sign(1.0), 4.0, fam))
+        vals += multiplier_norm_probe(GENERIC, smoothed_sign(1.0), (4.0,), fam)
     assert all(v <= 10.0 for v in vals)
     assert max(vals) / min(vals) <= 2.0
+
+
+def test_probes_take_every_exponent_from_one_transform(monkeypatch):
+    """One call over several exponents gives, bit for bit, what one call per
+    exponent gives, and transforms each family member once."""
+    from saftkit import multipliers
+    calls = []
+    for name in ("apply_multiplier", "lp_project"):
+        fn = getattr(multipliers, name)
+        monkeypatch.setattr(multipliers, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    grid = centered_grid(10.0, 256)
+    rs = (4.0 / 3.0, 2.0, 4.0)
+    fam = bandlimited_family(grid, 4, 87)
+    sym = imaginary_power(1.0)
+    each = [multiplier_norm_probe(GENERIC, sym, (r,), fam)[0] for r in rs]
+    calls.clear()
+    assert multiplier_norm_probe(GENERIC, sym, rs, fam) == each
+    assert calls == ["apply_multiplier"] * len(fam)
+    bank = LPBank.for_grid(GENERIC, grid)
+    fam = covered_family(GENERIC, bank, grid, 4, 88)
+    each = [lp_ratio_probe(GENERIC, bank, (r,), fam)[0] for r in rs]
+    calls.clear()
+    assert lp_ratio_probe(GENERIC, bank, rs, fam) == each
+    assert calls == ["lp_project"] * len(fam)
 
 
 def test_bank_blocks_partition_coverage():
@@ -258,7 +283,7 @@ def test_lp_ratio_probe_r2_is_isometry():
     grid = centered_grid(10.0, 256)
     bank = LPBank.for_grid(GENERIC, grid)
     fam = covered_family(GENERIC, bank, grid, 4, 89)
-    res = lp_ratio_probe(GENERIC, bank, 2.0, fam)
+    res, = lp_ratio_probe(GENERIC, bank, (2.0,), fam)
     assert res["min_ratio"] == pytest.approx(1.0, abs=1e-9)
     assert res["max_ratio"] == pytest.approx(1.0, abs=1e-9)
 
@@ -317,6 +342,6 @@ def test_unimodular_symbol_preserves_l2():
 def test_probes_reject_an_empty_family():
     grid = centered_grid(10.0, 64)
     with pytest.raises(InputError, match="family is empty"):
-        multiplier_norm_probe(GENERIC, imaginary_power(1.0), 2.0, [])
+        multiplier_norm_probe(GENERIC, imaginary_power(1.0), (2.0,), [])
     with pytest.raises(InputError, match="family is empty"):
-        lp_ratio_probe(GENERIC, LPBank.for_grid(GENERIC, grid), 2.0, [])
+        lp_ratio_probe(GENERIC, LPBank.for_grid(GENERIC, grid), (2.0,), [])

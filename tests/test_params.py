@@ -105,6 +105,16 @@ def test_transported_weight_fourier_is_radial():
     assert w == pytest.approx(1.0 + 1.5 ** 2 + 0.3 ** 2)
 
 
+def test_zero_exponent_weights_are_the_unit_view():
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    om = np.linspace(-2.0, 2.0, 5)[None, :]
+    p = make_params(1, 2, -2, -3, 0.3, -0.2)
+    for w in (unit_weight(), radial_weight(0.0), transported_weight(0.0, p)):
+        vals = weight_eval(w, x, om)
+        assert vals.shape == (7, 5) and vals.strides == (0, 0)
+        assert not vals.flags.writeable and np.all(vals == 1.0)
+
+
 def test_weights_strictly_positive():
     rng = np.random.default_rng(2)
     x = rng.uniform(-10, 10, 100)

@@ -153,6 +153,19 @@ def test_saft_stft_identity_shear_mapping():
     assert saft_stft_identity_check(p, f, g) <= 1e-6
 
 
+@pytest.mark.parametrize("n", (8, 9))
+def test_lattice_map_matches_the_index_gather(n):
+    """The row-shift form of V[d i - b j, a j - c i] (centred indices mod N)
+    moves the same entries as the gather through two N x N index tables."""
+    V = np.random.default_rng(69).standard_normal((n, n))
+    h = n // 2
+    i, j = np.arange(n)[:, None] - h, np.arange(n)[None, :] - h
+    for a, b, c, d in ((0, 1, -1, 0), (1, 1, 0, 1), (0, -1, 1, 0),
+                       (1, -1, 0, 1), (2, 1, 1, 1)):
+        gathered = V[(d * i - b * j + h) % n, (a * j - c * i + h) % n]
+        assert np.array_equal(timefreq._lattice_map(V, a, b, c, d), gathered)
+
+
 def test_saft_stft_identity_zero_signal():
     grid = _self_dual_grid(128)
     z = Signal(grid, np.zeros(128), "cyclic")
@@ -267,12 +280,13 @@ def test_a_mod_norm_index_monotonicity_bounded():
 
 @st.composite
 def amod_cases(draw):
-    """Generated (params, f, g) with every weight kind, and r, s in [1, 4]."""
+    """Generated (params, f, g) with every weight kind, and r, s in [1, 4];
+    also r = 2 exactly with the unit weight, a_mod_norm's Parseval path."""
     params, f, g = draw(cases(signals=2, off_centre=False))
     ell = draw(st.floats(0.0, 3.0))
     kind = draw(st.sampled_from(("unit", "radial", "transported",
-                                 "freq_scaled", "sheared")))
-    weight = {"unit": unit_weight(),
+                                 "freq_scaled", "sheared", "unit, r = 2")))
+    weight = {"unit": unit_weight(), "unit, r = 2": unit_weight(),
               "radial": radial_weight(ell),
               "transported": transported_weight(ell, params),
               "freq_scaled": freq_scaled_weight(radial_weight(ell),
@@ -280,7 +294,7 @@ def amod_cases(draw):
               "sheared": sheared_weight(radial_weight(ell),
                                         draw(st.floats(-3.0, 3.0)))}[kind]
     r, s = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
-    return params, f, g, r, s, weight
+    return params, f, g, 2.0 if kind == "unit, r = 2" else r, s, weight
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,10 +312,10 @@ def test_a_mod_norm_matches_oracle_across_row_blocks():
     grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
     f = gaussian_mixture_family(grid, 1, 78)[0]
     g = gaussian_window(grid)
-    m = radial_weight(1.0)
-    fast = a_mod_norm(GENERIC, f, g, 2.0, 3.0, m)
-    assert fast == pytest.approx(a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, m),
-                                 rel=1e-12)
+    for m in (radial_weight(1.0), unit_weight()):  # the general and Parseval paths
+        fast = a_mod_norm(GENERIC, f, g, 2.0, 3.0, m)
+        assert fast == pytest.approx(a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, m),
+                                     rel=1e-12)
 
 
 def _whole_table_mod_norm(f, g, r, s, m):
@@ -345,6 +359,17 @@ def test_a_mod_norm_uses_no_stft(monkeypatch):
     monkeypatch.setattr(timefreq, "stft", _raise)
     monkeypatch.setattr(timefreq, "_stft_rows", _raise)
     assert a_mod_norm(GENERIC, f, g, 2.0, 3.0, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_a_mod_norm_at_r2_unit_weight_makes_no_inverse_fft(monkeypatch):
+    grid = Grid(-3.3, 0.1, 67)
+    f = gaussian_mixture_family(grid, 1, 80)[0]
+    g = gaussian_window(grid)
+    ref = a_mod_norm_oracle(GENERIC, f, g, 2.0, 3.0, unit_weight())
+    monkeypatch.setattr(np.fft, "ifft", _raise)
+    assert a_mod_norm(GENERIC, f, g, 2.0, 3.0, unit_weight()) == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(AssertionError):  # the general path still inverts
+        a_mod_norm(GENERIC, f, g, 2.0, 3.0, radial_weight(1.0))
 
 
 def test_mod_norm_uses_no_a_mod_norm(monkeypatch):
