@@ -12,11 +12,11 @@ from .params import (InputError, SaftParams, make_params, special_params,
                      fourier_params, frft_params, fresnel_params, lct_params,
                      pre_chirp, post_chirp, quad_chirp, WeightSpec, unit_weight,
                      radial_weight, transported_weight, freq_scaled_weight,
-                     sheared_weight, weight_eval, weight_equiv_bounds)
+                     sheared_weight, weight_eval)
 from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,
                    indicator, lr_norm, spectrum_norm, inner_product, tail_mass,
                    save_signal, load_signal, save_spectrum, load_spectrum)
-from .operators import (translate, modulate, chirp, dilate, involution,
+from .operators import (translate, modulate, chirp, involution,
                         a_translate, a_modulate, a_translate_compose_check)
 from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle, isaft,
                      apply_symbol, spectrum_grid, dft_frequencies,
@@ -24,7 +24,7 @@ from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle, isaft,
                      twisted_derivative, heat_evolve)
 from .aconv import (aconv_oracle, aconv_fast, crop_to_grid, extended_grid,
                     approx_identity_run, young_check, mult_functional)
-from .timefreq import (TFMatrix, stft, moyal_energy, window_flip,
+from .timefreq import (TFMatrix, stft, window_flip,
                        gaussian_window, raised_cosine_window,
                        chirp_stft_covariance_check, a_covariance_check,
                        saft_stft_identity_check, mod_norm, a_mod_norm,

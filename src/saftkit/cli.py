@@ -19,7 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from .aconv import aconv_fast, aconv_oracle, approx_identity_run, young_check
 from .engine import (chirp_period_compatible, heat_evolve, isaft, make_plan,
-                     saft_fast, saft_oracle, twisted_derivative)
+                     saft, saft_oracle, twisted_derivative)
 from .families import bandlimited_family, covered_family
 from .grid import (Grid, Signal, centered_grid, load_signal, load_signal_csv,
                    load_spectrum, save_columns_csv, save_json, save_signal,
@@ -295,7 +295,7 @@ def _run(args) -> int:
         f = _read_signal(args.infile)
         if args.tail_report:
             print(f"tail mass (outer 5% of window): {tail_mass(f):.3e}")
-        F = saft_oracle(P, f) if args.oracle else saft_fast(make_plan(P, f.grid), f)
+        F = saft_oracle(P, f) if args.oracle else saft(P, f)
         save_spectrum(F, args.outfile)
         return 0
 
@@ -448,7 +448,7 @@ def _plotdata(args, P) -> int:
     f = _read_signal(args.infile,
                      None if args.kind == "spectrum_magnitude" else "cyclic")
     if args.kind == "spectrum_magnitude":
-        F = saft_fast(make_plan(P, f.grid), f)
+        F = saft(P, f)
         header = ["omega", "magnitude"]
         columns = [F.freq_grid.nodes(), _magnitude(F.samples)]
     elif args.kind == "tf_magnitude":

@@ -13,14 +13,21 @@ statement, not a modeling comparison.  The input table holds the input
 chirp and the centring phase exp(2 pi i n floor(N/2) / N), which puts the
 FFT output in centered order without an fftshift; the output table holds
 dt/sqrt|b|, the output chirp and the linear phase of the grid origin.
-The inverse multiplies only: the input table is a unit phase and the
-output table dt/sqrt|b| times one, so
+
+Every transform-domain function is built from two steps: the forward
+step fft(pre * f) (after the grid check) and the inverse step
+ifft(.) * conj(pre).  saft_fast is the forward step times post, reversed
+when b < 0.  pre is a unit phase and post is dt/sqrt|b| times one, so
+the inverse multiplies only:
 
     f = ifft(F * conj(post)) * conj(pre) * |b| / dt^2
 
 (F reversed first when b < 0), with the conjugates taken on the fly.
-project_ranges uses the same cancellation to cut one spectrum into
-blocks of index ranges with one forward FFT and no output table.
+Between a transform and its inverse, post cancels, because
+|post|^2 |b| / dt^2 = 1: apply_symbol multiplies the forward step by
+the symbol and takes the inverse step, and project_ranges cuts one
+forward step into blocks of index ranges and inverts each; neither
+touches post.
 
 make_plan is memoised on (params, grid): it keeps the most recently used
 plans within a count and a byte budget, so repeated one-shot calls on one
@@ -38,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, Signal, Spectrum
+from .grid import Grid, Signal, Spectrum, near_integer
 from .params import InputError, SaftParams, post_chirp
 
 _ORACLE_CHUNK = 256
@@ -159,11 +166,27 @@ def _build_plan(params: SaftParams, grid: Grid) -> SaftPlan:
                     pre=pre, post=post, flip=params.b < 0)
 
 
-def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
-    """O(N log N) transform: post * fft(pre * f), reversed when b < 0."""
+def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
+    """The forward step: fft(pre * f), in centered (FFT) order."""
     if not plan.grid.same_as(f.grid):
         raise InputError("plan was built for a different grid")
-    vals = np.fft.fft(plan.pre * f.samples)
+    return np.fft.fft(plan.pre * f.samples)
+
+
+def _inverse(plan: SaftPlan, rows: np.ndarray) -> np.ndarray:
+    """The inverse step, in place: each row becomes ifft(row) * conj(pre).
+
+    rows is one spectrum in FFT order or a (k, N) array of them.
+    """
+    unpre = np.conjugate(plan.pre)
+    for row in np.atleast_2d(rows):
+        np.multiply(np.fft.ifft(row), unpre, out=row)
+    return rows
+
+
+def saft_fast(plan: SaftPlan, f: Signal) -> Spectrum:
+    """O(N log N) transform: post * fft(pre * f), reversed when b < 0."""
+    vals = _forward(plan, f)
     vals *= plan.post
     if plan.flip:
         vals = vals[::-1]
@@ -213,89 +236,71 @@ def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
     vals = np.conjugate(plan.post)
     vals *= F.samples[::-1] if plan.flip else F.samples
     vals *= abs(plan.params.b) / plan.grid.step ** 2
-    vals = np.fft.ifft(vals)
-    vals *= np.conjugate(plan.pre)
-    return Signal(plan.grid, vals, mode)
+    return Signal(plan.grid, _inverse(plan, vals), mode)
 
 
 def project_ranges(plan: SaftPlan, f: Signal, ranges) -> list[Signal]:
     """Keep index ranges of the transform and invert, one block per entry,
-    all from one forward FFT.
+    all from one forward step.
 
     ranges holds, for each block, (start, stop) pairs on the ascending
     plan.freq_grid; block i is isaft(mask_i * saft_fast(f)) to rounding,
-    with mask_i the indicator of its ranges.  The output table cancels
-    between transform and inverse, so block i is
-    ifft(mask_i * fft(pre * f)) * conj(pre), the ranges mirrored into FFT
-    order when b < 0.  The blocks' samples are the rows of one
-    (blocks, N) array.
+    with mask_i the indicator of its ranges.  post cancels between
+    transform and inverse, so block i is the inverse step of mask_i times
+    the forward step, the ranges mirrored into FFT order when b < 0.  The
+    blocks' samples are the rows of one (blocks, N) array, inverted row by
+    row.
     """
-    if not plan.grid.same_as(f.grid):
-        raise InputError("plan was built for a different grid")
+    raw = _forward(plan, f)
     n = plan.grid.count
-    raw = np.fft.fft(plan.pre * f.samples)
-    unpre = np.conjugate(plan.pre)
     rows = np.zeros((len(ranges), n), dtype=complex)
     for row, spans in zip(rows, ranges):
         for lo, hi in spans:
             if plan.flip:  # freq_grid is the FFT order reversed
                 lo, hi = n - hi, n - lo
             row[lo:hi] = raw[lo:hi]
-        np.multiply(np.fft.ifft(row), unpre, out=row)
-    return [Signal(plan.grid, row, f.mode) for row in rows]
+    return [Signal(plan.grid, row, f.mode) for row in _inverse(plan, rows)]
 
 
 def apply_symbol(plan: SaftPlan, f: Signal, values) -> Signal:
     """Transform, multiply by a symbol, invert.
 
     values are the symbol on plan.freq_grid (ascending), one finite value
-    per node.  The output keeps the boundary mode of f.
+    per node.  post cancels between transform and inverse, so this is the
+    forward step times the symbol (reversed into FFT order when b < 0),
+    then the inverse step.  The output keeps the boundary mode of f.
     """
-    if np.shape(values) != (plan.freq_grid.count,):
+    values = np.asarray(values)
+    if values.shape != (plan.freq_grid.count,):
         raise InputError(f"symbol needs {plan.freq_grid.count} values, one per "
-                         f"frequency node, got shape {np.shape(values)}")
+                         f"frequency node, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InputError("symbol takes non-finite values on the grid")
-    F = saft_fast(plan, f)
-    np.multiply(F.samples, values, out=F.samples)
-    return isaft(plan, F, f.mode)
+    raw = _forward(plan, f)
+    raw *= values[::-1] if plan.flip else values
+    return Signal(plan.grid, _inverse(plan, raw), f.mode)
 
 
-def chirp_period_compatible(params: SaftParams, grid: Grid,
-                            tol: float = 1e-9) -> bool:
-    """Whether p * (N dt) / b is an integer.
+def chirp_period_compatible(params: SaftParams, grid: Grid) -> bool:
+    """Whether p * (N dt) / b is an integer (grid.near_integer).
 
     Cyclic-mode identities that move mass across the window seam (the
     shift/modulation exchange, the cyclic convolution theorem) are exact
     precisely when the offset chirp has a whole number of cycles per
     window; otherwise wrapped samples pick up an O(1) phase defect.
     """
-    cycles = params.p * grid.span / params.b
-    return abs(cycles - round(cycles)) <= tol
+    return near_integer(params.p * grid.span / params.b)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form references: the transform of the counter-chirped indicator.
 
-def sinc_reference(params: SaftParams, omega, shape: str = "centered_interval"):
-    """Transform of exp(-i pi a t^2 / b) 1_I(t) for I the unit or centered
-    unit interval.
-
-    centered_interval: post_chirp(w)/sqrt|b| * sinc((w - p)/b)
-    unit_interval:     post_chirp(w)/sqrt|b| * (1 - exp(-2 pi i u)) / (2 pi i u),
-                       u = (w - p)/b, with the u = 0 limit equal to 1.
-    """
+def sinc_reference(params: SaftParams, omega):
+    """Transform of exp(-i pi a t^2 / b) 1_I(t) for I the centered unit
+    interval: post_chirp(w)/sqrt|b| * sinc((w - p)/b)."""
     w = np.asarray(omega, dtype=float)
-    u = (w - params.p) / params.b
     head = post_chirp(params, w) / np.sqrt(abs(params.b))
-    if shape == "centered_interval":
-        return head * np.sinc(u)
-    if shape == "unit_interval":
-        small = np.abs(u) < 1e-14
-        us = np.where(small, 1.0, u)
-        core = np.where(small, 1.0, (1.0 - np.exp(-2j * np.pi * us)) / (2j * np.pi * us))
-        return head * core
-    raise InputError(f"unknown reference shape: {shape!r}")
+    return head * np.sinc((w - params.p) / params.b)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ from .params import InputError, SaftParams
 MODES = ("compact", "cyclic")
 
 
+def near_integer(m: float) -> bool:
+    """|m - round(m)| <= 1e-9 * max(1, |m|): the one lattice-alignment rule,
+    for steps on a grid, chirp cycles per window and integer matrix entries."""
+    return abs(m - round(m)) <= 1e-9 * max(1.0, abs(m))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid t_n = start + n*step for 0 <= n < count."""
@@ -51,13 +57,13 @@ class Grid:
     def steps_of(self, x: float, what: str) -> int:
         """x / step as an int, for a length that must lie on the step lattice.
 
-        Accepts |m - round(m)| <= 1e-9 * max(1, |m|) with m = x / step and
-        otherwise raises an InputError that opens with `what`, which should
-        name the quantity and the step it must be a multiple of.
+        Accepts m = x / step when near_integer(m) and otherwise raises an
+        InputError that opens with `what`, which should name the quantity
+        and the step it must be a multiple of.
         """
         m = x / self.step
         k = int(round(m))
-        if abs(m - k) > 1e-9 * max(1.0, abs(m)):
+        if not near_integer(m):
             raise InputError(f"{what} (off by {m - k:+.3g} of the step {self.step!r})")
         return k
 

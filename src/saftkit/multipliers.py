@@ -134,14 +134,19 @@ def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal,
     return apply_symbol(plan, f, m.value(plan.freq_grid.nodes()))
 
 
+def _decay_constant(m: SymbolSpec, omegas) -> float:
+    """sup |m'(w)| |w| over the nonzero entries of omegas."""
+    w = np.asarray(omegas, dtype=float)
+    w = w[w != 0]
+    return float(np.max(np.abs(m.derivative(w)) * np.abs(w), initial=0.0))
+
+
 def hormander_validate(m: SymbolSpec, omegas) -> dict:
     """Estimate the decay constant sup |m'(w)| |w| over the nonzero grid.
 
     pass means the estimate is finite; only smooth symbol kinds qualify.
     """
-    w = np.asarray(omegas, dtype=float)
-    w = w[w != 0]
-    c_est = float(np.max(np.abs(m.derivative(w)) * np.abs(w), initial=0.0))
+    c_est = _decay_constant(m, omegas)
     return {"C_est": c_est, "pass": bool(np.isfinite(c_est))}
 
 
@@ -153,10 +158,9 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
     """
     w = np.asarray(omegas, dtype=float)
     w = w[w != 0]
-    c1 = float(np.max(np.abs(m.derivative(w)) * np.abs(w), initial=0.0))
     x = w / b
     c2 = float(np.max(np.abs(b * m.derivative(b * x)) * np.abs(x), initial=0.0))
-    return c1, c2
+    return _decay_constant(m, w), c2
 
 
 def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, rs: tuple[float, ...],

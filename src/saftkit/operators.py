@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, Signal
+from .grid import Signal
 from .params import InputError, SaftParams
 
 
@@ -41,19 +41,6 @@ def chirp(f: Signal, s: float) -> Signal:
     """C_s f(t) = exp(i pi s t^2) f(t)."""
     t = f.grid.nodes()
     return f.with_samples(np.exp(1j * np.pi * s * t * t) * f.samples)
-
-
-def dilate(f: Signal, s: float) -> Signal:
-    """D_s f(t) = |s|^(-1/2) f(t/s), on the rescaled grid (step |s|*dt)."""
-    if s == 0:
-        raise InputError("dilation factor must be nonzero")
-    vals = f.samples / np.sqrt(abs(s))
-    t_new = s * f.grid.nodes()
-    if s < 0:
-        t_new = t_new[::-1]
-        vals = vals[::-1]
-    grid = Grid(float(t_new[0]), abs(s) * f.grid.step, f.grid.count)
-    return Signal(grid, vals, f.mode)
 
 
 def involution(f: Signal) -> Signal:

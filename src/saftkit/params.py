@@ -211,16 +211,3 @@ def weight_eval(w: WeightSpec, x, omega):
     if w.kind == "sheared":
         return weight_eval(w.inner, x, om - w.scale * x)
     raise AssertionError(w.kind)
-
-
-def weight_equiv_bounds(params: SaftParams) -> tuple[float, float]:
-    """Extreme eigenvalues of the quadratic form behind the transported weight.
-
-    The 2x2 form [[c^2+d^2, -(ac+bd)], [-(ac+bd), a^2+b^2]] has determinant
-    (ad-bc)^2 = 1, so the eigenvalues are reciprocal: lam_min * lam_max = 1.
-    They bound the transported weight against the radial one:
-      lam_min^(ell/2) * radial <= transported <= lam_max^(ell/2) * radial.
-    """
-    tr = params.a ** 2 + params.b ** 2 + params.c ** 2 + params.d ** 2
-    disc = math.sqrt(max(tr * tr - 4.0, 0.0))
-    return (tr - disc) / 2.0, (tr + disc) / 2.0

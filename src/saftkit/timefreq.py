@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
-from .grid import Grid, Signal, _pairs, _require_same_grid
+from .grid import Grid, Signal, _pairs, _require_same_grid, near_integer
 from .operators import a_modulate, a_translate, chirp, involution
 from .params import (InputError, SaftParams, WeightSpec, pre_chirp, quad_chirp,
                      weight_eval)
@@ -132,11 +132,6 @@ def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
         for lo, block in _stft_rows(f, g):
             vals[lo:lo + len(block)] = block
     return TFMatrix(grid, _freq_grid(grid), vals, window_id)
-
-
-def moyal_energy(V: TFMatrix) -> float:
-    """dx * dw * sum |V|^2; equals ||f||_2^2 ||g||_2^2 on the full lattice."""
-    return float(V.x_grid.step * V.w_grid.step * np.sum(np.abs(V.values) ** 2))
 
 
 def window_flip(g: Signal) -> Signal:
@@ -258,7 +253,7 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     itself; incompatible inputs are rejected.
     """
     ints = [params.a, params.b, params.c, params.d]
-    if any(abs(v - round(v)) > 1e-9 for v in ints):
+    if not all(near_integer(v) for v in ints):
         raise InputError("identity check needs integer matrix parameters")
     ai, bi, ci, di = (int(round(v)) for v in ints)
     if abs(bi) != 1:

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from .aconv import aconv_fast, approx_identity_run, mult_functional, young_check
-from .engine import (isaft, make_plan, saft_fast, saft_oracle, sinc_reference,
-                     twisted_derivative, heat_evolve, dft_frequencies)
+from .engine import (isaft, make_plan, saft, saft_fast, saft_oracle,
+                     sinc_reference, twisted_derivative, heat_evolve,
+                     dft_frequencies)
 from .families import (bandlimited_family, covered_family,
                        gaussian_mixture_family, raised_cosine_bump)
 from .grid import (Grid, Signal, centered_grid, inner_product, lr_norm,
@@ -306,8 +307,8 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
         rate = params.a / params.b
         f = sample(lambda t: np.exp(-1j * np.pi * rate * t * t)
                    * ((t >= -0.5) & (t < 0.5)), g, "compact")
-        F = saft_fast(make_plan(params, g), f)
-        ref = sinc_reference(params, F.freq_grid.nodes(), "centered_interval")
+        F = saft(params, f)
+        ref = sinc_reference(params, F.freq_grid.nodes())
         errs.append(float(np.max(np.abs(F.samples - ref))))
     ok = _shrinking(errs, slack=0.70) and errs[-1] <= 3e-2
     checks.append(CheckResult("T2.16", "chirped-indicator closed form: "
@@ -359,7 +360,7 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
         g = centered_grid(8.0, n)
         f = sample(lambda t: ((t >= -0.5) & (t < 0.5)).astype(complex), g,
                    "compact")
-        F = saft_fast(make_plan(params, g), f)
+        F = saft(params, f)
         wabs = np.abs(F.freq_grid.nodes())
         cut = np.quantile(wabs, 0.9)
         decile_max.append(float(np.max(np.abs(F.samples[wabs >= cut]))))
@@ -380,8 +381,8 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
     worst = 0.0
     for abcd in LATTICE_SETS:
         pl = make_params(*abcd)
-        F = saft_fast(make_plan(pl, grid_sd), fsd)
-        G = saft_fast(make_plan(pl, grid_sd), gsd)
+        F = saft(pl, fsd)
+        G = saft(pl, gsd)
         VA = stft(Signal(F.freq_grid, F.samples, "cyclic"),
                   Signal(G.freq_grid, G.samples, "cyclic"))
         for ell, norm0 in zip(ells, rhs):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from saftkit.engine import make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
                           impulse, indicator, inner_product, load_signal,
+                          near_integer,
                           load_signal_csv, lr_norm, sample, save_columns_csv,
                           save_json, save_signal, save_signal_csv,
                           signal_from_dict, signal_to_dict, spectrum_from_dict,
@@ -301,6 +302,17 @@ def test_steps_of_whole_and_half_steps(g):
     for k in (0, 1, -2, g.count):
         with pytest.raises(ValueError, match="^shift"):
             g.steps_of((k + 0.5) * g.step, "shift")
+
+
+def test_near_integer_tolerance_is_relative_above_one():
+    # 1e-9 * max(1, |m|): 3e-9 at m = 3, 1e-9 below |m| = 1
+    assert near_integer(3.0 + 2e-9) and near_integer(-3.0 - 2e-9)
+    assert not near_integer(3.0 + 4e-9) and not near_integer(-3.0 - 4e-9)
+    assert near_integer(0.5e-9) and not near_integer(2e-9)
+    g = Grid(0.0, 0.5, 8)
+    assert g.steps_of((3.0 + 2e-9) * 0.5, "shift") == 3
+    with pytest.raises(InputError, match="^shift"):
+        g.steps_of((3.0 + 4e-9) * 0.5, "shift")
 
 
 @given(k=st.integers(-10**6, 10**6), which=st.integers(0, len(LATTICE_GRIDS) - 1))

@@ -3,7 +3,7 @@ import pytest
 
 from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import (a_modulate, a_translate,
-                               a_translate_compose_check, chirp, dilate,
+                               a_translate_compose_check, chirp,
                                involution, modulate, translate)
 from saftkit.params import fourier_params, frft_params, make_params
 
@@ -54,19 +54,6 @@ def test_chirp_rate_zero_is_identity():
 def test_modulation_preserves_magnitude():
     f = _mix(centered_grid(8.0, 64), 3)
     assert np.allclose(np.abs(modulate(f, 1.7).samples), np.abs(f.samples))
-
-
-def test_dilate_group_law():
-    f = _mix(centered_grid(8.0, 64), 4)
-    back = dilate(dilate(f, 2.0), 0.5)
-    assert back.grid == f.grid
-    assert np.max(np.abs(back.samples - f.samples)) <= 1e-12
-
-
-def test_dilate_by_zero_rejected():
-    f = _mix(centered_grid(8.0, 64), 5)
-    with pytest.raises(ValueError):
-        dilate(f, 0.0)
 
 
 def test_involution_cyclic():
