@@ -138,6 +138,14 @@ def _write_signal(f: Signal, path: str):
     (save_signal_csv if path.endswith(".csv") else save_signal)(f, path)
 
 
+def _warn_cyclic_seam(command: str, params: SaftParams, f: Signal):
+    """One stderr line when f is cyclic and chirp_period_compatible is false."""
+    if f.mode == "cyclic" and not chirp_period_compatible(params, f.grid):
+        print(f"saftkit {command}: warning: p * (N dt) / b is not an integer, "
+              "so identities that move mass across the window seam are not "
+              "exact in cyclic mode", file=sys.stderr)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
@@ -312,13 +320,10 @@ def _run(args) -> int:
 
     if args.command == "aconv":
         f, g = _read_pair(args.inputs, args.mode)
-        if (args.mode == "cyclic" and not args.oracle
-                and not chirp_period_compatible(P, f.grid)):
-            print("saftkit aconv: warning: p * (N dt) / b is not an integer, so "
-                  "identities that move mass across the window seam are not "
-                  "exact for this cyclic convolution", file=sys.stderr)
         conv = (aconv_oracle(P, f, g) if args.oracle
                 else aconv_fast(P, f, g, args.mode))
+        if not args.oracle:
+            _warn_cyclic_seam(args.command, P, f)
         _write_signal(conv, args.outfile)
         return 0
 
@@ -343,6 +348,7 @@ def _run(args) -> int:
             out = translate(f, args.translate)
         elif args.a_translate is not None:
             out = a_translate(f, P, args.a_translate)
+            _warn_cyclic_seam(args.command, P, f)
         elif args.modulate is not None:
             out = modulate(f, args.modulate)
         elif args.a_modulate is not None:
@@ -374,9 +380,11 @@ def _run(args) -> int:
     if args.command in ("modnorm", "amodnorm"):
         f = _read_signal(args.infile, "cyclic")
         g = WINDOWS[args.window](f.grid)
-        norm = (mod_norm(f, g, args.r, args.s, args.weight)
-                if args.command == "modnorm"
-                else a_mod_norm(P, f, g, args.r, args.s, args.weight))
+        if args.command == "modnorm":
+            norm = mod_norm(f, g, args.r, args.s, args.weight)
+        else:
+            norm = a_mod_norm(P, f, g, args.r, args.s, args.weight)
+            _warn_cyclic_seam(args.command, P, f)
         print(f"{norm:.12e}")
         return 0
 

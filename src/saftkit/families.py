@@ -12,19 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import isaft, make_plan
-from .grid import Grid, Signal, Spectrum
+from .grid import Grid, Signal, Spectrum, raised_cosine
 from .multipliers import LPBank
 from .params import SaftParams
 
+MIXTURE_COMPONENTS = 4  # Gaussian bumps per mixture
+BAND_FRACTION = 0.5  # share of the DFT bins that band-limited noise fills
+BUMP_WIDTH = 0.35  # share of the window that raised_cosine_bump covers
 
-def gaussian_mixture(grid: Grid, rng: np.random.Generator,
-                     mode: str = "cyclic", n_components: int = 4) -> Signal:
+
+def _gaussian_mixture(grid: Grid, rng: np.random.Generator, mode: str) -> Signal:
     """Random sum of modulated Gaussian bumps confined to the window interior."""
     t = grid.nodes()
     half = grid.span / 2.0
     center0 = grid.start + half
     vals = np.zeros(grid.count, dtype=complex)
-    for _ in range(n_components):
+    for _ in range(MIXTURE_COMPONENTS):
         c = center0 + rng.uniform(-0.3, 0.3) * grid.span
         width = rng.uniform(half / 40.0, half / 12.0)
         amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
@@ -39,15 +42,14 @@ def gaussian_mixture(grid: Grid, rng: np.random.Generator,
 def gaussian_mixture_family(grid: Grid, count: int, seed: int,
                             mode: str = "cyclic") -> list[Signal]:
     rng = np.random.default_rng(seed)
-    return [gaussian_mixture(grid, rng, mode) for _ in range(count)]
+    return [_gaussian_mixture(grid, rng, mode) for _ in range(count)]
 
 
-def bandlimited_noise(grid: Grid, rng: np.random.Generator,
-                      mode: str = "cyclic", keep_frac: float = 0.5) -> Signal:
+def _bandlimited_noise(grid: Grid, rng: np.random.Generator, mode: str) -> Signal:
     """Random spectrum on the central band, DC bin zeroed, unit peak."""
     n = grid.count
     spec = np.zeros(n, dtype=complex)
-    half_keep = max(1, int(keep_frac * n / 2))
+    half_keep = max(1, int(BAND_FRACTION * n / 2))
     lo, hi = n // 2 - half_keep, n // 2 + half_keep
     spec[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     spec[n // 2] = 0.0
@@ -57,9 +59,9 @@ def bandlimited_noise(grid: Grid, rng: np.random.Generator,
 
 
 def bandlimited_family(grid: Grid, count: int, seed: int,
-                       mode: str = "cyclic", keep_frac: float = 0.5) -> list[Signal]:
+                       mode: str = "cyclic") -> list[Signal]:
     rng = np.random.default_rng(seed)
-    return [bandlimited_noise(grid, rng, mode, keep_frac) for _ in range(count)]
+    return [_bandlimited_noise(grid, rng, mode) for _ in range(count)]
 
 
 def covered_family(params: SaftParams, bank: LPBank, grid: Grid,
@@ -84,11 +86,6 @@ def covered_family(params: SaftParams, bank: LPBank, grid: Grid,
     return out
 
 
-def raised_cosine_bump(grid: Grid, mode: str = "compact",
-                       width_frac: float = 0.35) -> Signal:
-    """Deterministic smooth compactly supported test bump."""
-    half = width_frac * grid.span / 2.0
-    center = grid.start + grid.span / 2.0
-    t = grid.nodes() - center
-    vals = np.where(np.abs(t) < half, 0.5 * (1.0 + np.cos(np.pi * t / half)), 0.0)
-    return Signal(grid, vals.astype(complex), mode)
+def raised_cosine_bump(grid: Grid) -> Signal:
+    """Smooth compactly supported test bump in compact mode."""
+    return Signal(grid, raised_cosine(grid, BUMP_WIDTH * grid.span / 2.0), "compact")

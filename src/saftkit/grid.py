@@ -166,24 +166,30 @@ def indicator(lo: float, hi: float):
     return fn
 
 
-def lr_norm(f: Signal, r: float) -> float:
-    """Quadrature L^r norm (step * sum |f|^r)^(1/r); r = inf gives max |f|."""
+def raised_cosine(grid: Grid, half: float) -> np.ndarray:
+    """0.5 (1 + cos(pi t / half)) for |t| < half about the window centre, else 0."""
+    t = grid.nodes() - (grid.start + grid.span / 2.0)
+    return np.where(np.abs(t) < half, 0.5 * (1.0 + np.cos(np.pi * t / half)), 0.0)
+
+
+def _quadrature_norm(samples: np.ndarray, step: float, r: float) -> float:
+    """(step * sum |samples|^r)^(1/r); r = inf gives max |samples|."""
     if not r >= 1:  # also rejects NaN
         raise InputError("norm exponent must satisfy r >= 1")
-    mag = np.abs(f.samples)
+    mag = np.abs(samples)
     if np.isinf(r):
         return float(mag.max(initial=0.0))
-    return float((f.grid.step * np.sum(mag ** r)) ** (1.0 / r))
+    return float((step * np.sum(mag ** r)) ** (1.0 / r))
+
+
+def lr_norm(f: Signal, r: float) -> float:
+    """Quadrature L^r norm (step * sum |f|^r)^(1/r); r = inf gives max |f|."""
+    return _quadrature_norm(f.samples, f.grid.step, r)
 
 
 def spectrum_norm(F: Spectrum, r: float) -> float:
     """Quadrature L^r norm of a spectrum with the frequency step as weight."""
-    if not r >= 1:  # also rejects NaN
-        raise InputError("norm exponent must satisfy r >= 1")
-    mag = np.abs(F.samples)
-    if np.isinf(r):
-        return float(mag.max(initial=0.0))
-    return float((F.freq_grid.step * np.sum(mag ** r)) ** (1.0 / r))
+    return _quadrature_norm(F.samples, F.freq_grid.step, r)
 
 
 def inner_product(f: Signal, g: Signal) -> complex:

@@ -39,8 +39,8 @@ class SymbolSpec:
         |m'(w)| |w| = |alpha| exactly (m(0) taken as 1).
     smoothed_sign(scale):   tanh(w / scale).
     dyadic_bump(level):     smooth bump on +-[2^j, 2^(j+1)].
-    indicator(lo, hi):      1 on [lo, hi); no derivative.
-    indicator_union:        union of half-open intervals; no derivative.
+    indicator(intervals):   1 on a union of half-open intervals [lo, hi);
+                            no derivative.
     """
 
     kind: str
@@ -67,7 +67,7 @@ class SymbolSpec:
             us = np.where(inside, u, 0.0)
             vals = np.where(inside, np.exp(-us * us / (1.0 - us * us)), 0.0)
             return vals.astype(complex)
-        if self.kind in ("indicator", "indicator_union"):
+        if self.kind == "indicator":
             out = np.zeros_like(w)
             for lo, hi in self.intervals:
                 out += ((w >= lo) & (w < hi)).astype(float)
@@ -117,20 +117,18 @@ def _interval(lo, hi) -> tuple:
     return lo, hi
 
 
-def indicator_symbol(lo: float, hi: float) -> SymbolSpec:
-    return SymbolSpec("indicator", intervals=(_interval(lo, hi),))
-
-
 def indicator_union(intervals) -> SymbolSpec:
-    return SymbolSpec("indicator_union",
+    return SymbolSpec("indicator",
                       intervals=tuple(_interval(lo, hi) for lo, hi in intervals))
 
 
-def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal,
-                     plan: SaftPlan | None = None) -> Signal:
-    """Diagonal action: invert(m(w_k) * transform(f)); cyclic mode."""
-    if plan is None:
-        plan = make_plan(params, f.grid)
+def indicator_symbol(lo: float, hi: float) -> SymbolSpec:
+    return indicator_union([(lo, hi)])
+
+
+def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal) -> Signal:
+    """Diagonal action invert(m(w_k) * transform(f)) on make_plan's cached plan."""
+    plan = make_plan(params, f.grid)
     return apply_symbol(plan, f, m.value(plan.freq_grid.nodes()))
 
 
@@ -166,14 +164,15 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
 def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, rs: tuple[float, ...],
                           family: list[Signal]) -> list[float]:
     """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid),
-    one per exponent r in rs, in that order.  Each member is transformed
-    once; every r-norm is taken of that one output."""
+    one per exponent r in rs, in that order.  The symbol is evaluated and
+    each member transformed once; every r-norm is taken of that output."""
     if not family:
         raise InputError("the probe family is empty")
     plan = make_plan(params, family[0].grid)
+    values = m.value(plan.freq_grid.nodes())
     worst = [0.0] * len(rs)
     for f in family:
-        out = apply_multiplier(params, m, f, plan)
+        out = apply_symbol(plan, f, values)
         worst = [max(w, lr_norm(out, r) / lr_norm(f, r)) for w, r in zip(worst, rs)]
     return worst
 

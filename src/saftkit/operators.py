@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Signal
+from .grid import Grid, Signal
 from .params import InputError, SaftParams
 
 
@@ -44,14 +44,15 @@ def chirp(f: Signal, s: float) -> Signal:
 
 
 def involution(f: Signal) -> Signal:
-    """f(t) -> f(-t); needs cyclic mode or a grid symmetric about zero."""
+    """f(t) -> f(-t); needs cyclic mode or a grid symmetric about zero
+    (Grid.same_as its mirror image)."""
     n = f.grid.count
     if f.mode == "cyclic":
         k = f.grid.steps_of(2.0 * f.grid.start,
                             "cyclic involution needs 2*start to be a step multiple")
         idx = (-np.arange(n) - k) % n
         return f.with_samples(f.samples[idx])
-    if abs(2.0 * f.grid.start + (n - 1) * f.grid.step) > 1e-9 * f.grid.step:
+    if not f.grid.same_as(Grid(-0.5 * (n - 1) * f.grid.step, f.grid.step, n)):
         raise InputError("compact involution needs a grid symmetric about 0")
     return f.with_samples(f.samples[::-1])
 

@@ -54,11 +54,6 @@ class SaftParams:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d,
                 "p": self.p, "q": self.q}
 
-    @staticmethod
-    def from_dict(obj: dict) -> "SaftParams":
-        return make_params(obj["a"], obj["b"], obj["c"], obj["d"],
-                           obj.get("p", 0.0), obj.get("q", 0.0))
-
 
 def make_params(a: float, b: float, c: float, d: float,
                 p: float = 0.0, q: float = 0.0) -> SaftParams:

@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
-from .grid import Grid, Signal, _pairs, _require_same_grid, near_integer
+from .grid import (Grid, Signal, _pairs, _require_same_grid, centered_grid,
+                   near_integer, raised_cosine)
 from .operators import a_modulate, a_translate, chirp, involution
 from .params import (InputError, SaftParams, WeightSpec, pre_chirp, quad_chirp,
                      weight_eval)
@@ -140,26 +141,24 @@ def window_flip(g: Signal) -> Signal:
     return flipped.with_samples(np.conj(flipped.samples))
 
 
+def _unit_l2(f: Signal) -> Signal:
+    """f divided by its quadrature L2 norm."""
+    norm = np.sqrt(f.grid.step * np.sum(np.abs(f.samples) ** 2))
+    return f.with_samples(f.samples / norm)
+
+
 def gaussian_window(grid: Grid, mode: str = "cyclic") -> Signal:
     """Unit-L2 Gaussian matched to the grid: decayed below 1e-12 at the edge."""
     half = grid.span / 2.0
     center = grid.start + half
     alpha = 12.0 * np.log(10.0) / (half * half)
     t = grid.nodes() - center
-    vals = np.exp(-alpha * t * t).astype(complex)
-    vals /= np.sqrt(grid.step * np.sum(np.abs(vals) ** 2))
-    return Signal(grid, vals, mode)
+    return _unit_l2(Signal(grid, np.exp(-alpha * t * t), mode))
 
 
 def raised_cosine_window(grid: Grid, mode: str = "cyclic") -> Signal:
     """Unit-L2 raised cosine supported on the middle half of the window."""
-    half = grid.span / 4.0
-    center = grid.start + grid.span / 2.0
-    t = grid.nodes() - center
-    vals = np.where(np.abs(t) < half, 0.5 * (1.0 + np.cos(np.pi * t / half)), 0.0)
-    vals = vals.astype(complex)
-    vals /= np.sqrt(grid.step * np.sum(np.abs(vals) ** 2))
-    return Signal(grid, vals, mode)
+    return _unit_l2(Signal(grid, raised_cosine(grid, grid.span / 4.0), mode))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,9 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
 
     |V_{Fg}(Ff)(x, w)| = |V_g f(d x - b w, a w - c x)|.
 
-    Needs integer a, b, c, d with |b| = 1 and a self-dual centered grid
-    (N dt^2 = 1, t0 = -N dt / 2) so the map carries the lattice into
-    itself; incompatible inputs are rejected.
+    Needs integer a, b, c, d with |b| = 1 and a self-dual centred grid
+    (N dt^2 = |b|, t0 = -N dt / 2, tested with Grid.same_as) so the map
+    carries the lattice into itself; incompatible inputs are rejected.
     """
     ints = [params.a, params.b, params.c, params.d]
     if not all(near_integer(v) for v in ints):
@@ -258,12 +257,10 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     ai, bi, ci, di = (int(round(v)) for v in ints)
     if abs(bi) != 1:
         raise InputError("identity check needs |b| = 1")
-    grid = f.grid
-    n = grid.count
-    if abs(n * grid.step ** 2 - abs(params.b)) > 1e-9:
-        raise InputError("identity check needs a self-dual grid: N dt^2 = |b|")
-    if abs(grid.start + n * grid.step / 2.0) > 1e-9 * grid.step:
-        raise InputError("identity check needs a centered grid")
+    n = f.grid.count
+    if not f.grid.same_as(centered_grid(np.sqrt(n * abs(params.b)) / 2.0, n)):
+        raise InputError("identity check needs a self-dual centred grid: "
+                         "N dt^2 = |b| and t0 = -N dt / 2")
     F = saft(params, f)
     G = saft(params, g)
     Fs = Signal(F.freq_grid, F.samples, "cyclic")
@@ -276,9 +273,20 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
 # ---------------------------------------------------------------------------
 # Modulation-space norms.
 
-def _check_exponents(r: float, s: float):
+def _check_norm_inputs(f: Signal, g: Signal, r: float, s: float):
+    """The preconditions every modulation norm shares: finite exponents
+    r, s >= 1, a nonzero window, and one grid and mode for f and g."""
     if not (1 <= r < np.inf and 1 <= s < np.inf):  # also rejects NaN
         raise InputError("modulation norms need finite exponents r, s >= 1")
+    if np.max(np.abs(g.samples)) == 0.0:
+        raise InputError("window must be nonzero")
+    _require_same_grid(f, g)
+
+
+def _mixed_norm(inner: np.ndarray, dw: float, r: float, s: float) -> float:
+    """(dw * sum_w inner(w)^(s/r))^(1/s), from the per-frequency sums
+    inner(w) = int |.|^r m^r dx."""
+    return float((dw * np.sum(inner ** (s / r))) ** (1.0 / s))
 
 
 def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
@@ -289,9 +297,7 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     are made into per-frequency partial sums over x, so memory stays
     bounded at any N.
     """
-    _check_exponents(r, s)
-    if np.max(np.abs(g.samples)) == 0.0:
-        raise InputError("window must be nonzero")
+    _check_norm_inputs(f, g, r, s)
     grid = f.grid
     x = grid.nodes()[:, None]
     w = _freq_grid(grid).nodes()[None, :]
@@ -300,9 +306,7 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
         mag = np.abs(block)
         mag *= weight_eval(m, x[lo:lo + len(block)], w)
         acc += np.sum(mag ** r, axis=0)
-    inner = grid.step * acc
-    dw = 1.0 / grid.span
-    return float((dw * np.sum(inner ** (s / r))) ** (1.0 / s))
+    return _mixed_norm(grid.step * acc, 1.0 / grid.span, r, s)
 
 
 def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
@@ -324,10 +328,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     A block holds at most TF_BLOCK_ENTRIES complex values, so memory stays
     bounded at any N.
     """
-    _check_exponents(r, s)
-    if np.max(np.abs(g.samples)) == 0.0:
-        raise InputError("window must be nonzero")
-    _require_same_grid(f, g)
+    _check_norm_inputs(f, g, r, s)
     grid = f.grid
     n = grid.count
     k0 = grid.steps_of(grid.start, "cyclic convolution needs the grid origin "
@@ -360,8 +361,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
         conv *= weight_eval(m, xj, omegas[lo:hi, None])
         inner[lo:hi] = np.sum(conv ** r, axis=1)
     inner *= grid.step * scale ** r
-    dxi = 1.0 / grid.span
-    return float((abs(params.b) * dxi * np.sum(inner ** (s / r))) ** (1.0 / s))
+    return _mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
 
 
 def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
@@ -372,21 +372,16 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
     w = b * xi, through aconv_fast and a_modulate; the weight is evaluated
     on that twisted-side lattice.  The reference for a_mod_norm.
     """
-    _check_exponents(r, s)
-    if np.max(np.abs(g.samples)) == 0.0:
-        raise InputError("window must be nonzero")
-    _require_same_grid(f, g)
+    _check_norm_inputs(f, g, r, s)
     grid = f.grid
     x = grid.nodes()
-    xi = dft_frequencies(grid)
-    omegas = params.b * xi
+    omegas = params.b * dft_frequencies(grid)
     inner = np.empty(grid.count)
     for j, w in enumerate(omegas):
         conv = aconv_fast(params, f, a_modulate(g, params, w), "cyclic")
         wgt = weight_eval(m, x, w)
         inner[j] = grid.step * np.sum((np.abs(conv.samples) * wgt) ** r)
-    dxi = 1.0 / grid.span
-    return float((abs(params.b) * dxi * np.sum(inner ** (s / r))) ** (1.0 / s))
+    return _mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
 
 
 def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:

@@ -27,8 +27,8 @@ from .engine import (isaft, make_plan, saft, saft_fast, saft_oracle,
                      dft_frequencies)
 from .families import (bandlimited_family, covered_family,
                        gaussian_mixture_family, raised_cosine_bump)
-from .grid import (Grid, Signal, centered_grid, inner_product, lr_norm,
-                   sample, spectrum_norm)
+from .grid import (Grid, Signal, centered_grid, indicator, inner_product,
+                   lr_norm, sample, spectrum_norm)
 from .multipliers import (LPBank, hormander_scale_invariance, imaginary_power,
                           lp_project, lp_ratio_probe, multiplier_norm_probe,
                           square_function, wendel_commute_check)
@@ -51,7 +51,9 @@ WINDOW_BAND = (0.90, 1.20)
 
 # Lattice-restricted checks run on these fixed integer sets regardless of
 # the requested parameters.
-LATTICE_SETS = ((0.0, 1.0, -1.0, 0.0), (1.0, 1.0, 0.0, 1.0))
+LATTICE_SETS = (make_params(0.0, 1.0, -1.0, 0.0), make_params(1.0, 1.0, 0.0, 1.0))
+# The self-dual grid (N dt^2 = 1, centred) those sets share, N = 512.
+SELF_DUAL_GRID = centered_grid(512 / (2.0 * np.sqrt(512)), 512)
 
 
 def standard_parameter_sets() -> dict:
@@ -113,10 +115,12 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _result(check_id, statement, tol, observed) -> CheckResult:
+def _result(check_id, statement, tol, observed, ok=None) -> CheckResult:
+    """Passed when `ok`, or by default when observed is finite and <= tol."""
     observed = float(observed)
-    return CheckResult(check_id, statement, tol, observed,
-                       bool(np.isfinite(observed)) and observed <= tol)
+    if ok is None:
+        ok = np.isfinite(observed) and observed <= tol
+    return CheckResult(check_id, statement, tol, observed, bool(ok))
 
 
 def _shrinking(errors, slack: float = 1.05, floor: float = 1e-12) -> bool:
@@ -180,9 +184,8 @@ def tier1(params: SaftParams, size: int, seed: int) -> list:
     checks.append(_result("T1.06", "shift/modulation exchange under the "
                           "transform (relative)", 1e-9, dev))
 
-    g_cyc = f1
-    G = saft_fast(plan, g_cyc)
-    conv = aconv_fast(params, f0, g_cyc, "cyclic")
+    G = saft_fast(plan, f1)
+    conv = aconv_fast(params, f0, f1, "cyclic")
     lhs_spec = saft_fast(plan, conv).samples
     rhs_spec = np.conj(post_chirp(params, w)) * F0.samples * G.samples
     dev = np.max(np.abs(lhs_spec - rhs_spec)) / np.max(np.abs(rhs_spec))
@@ -194,7 +197,7 @@ def tier1(params: SaftParams, size: int, seed: int) -> list:
     # relative deviation meaningless and hides errors in the functional.
     w0 = plan.freq_grid.node(int(np.argmax(np.abs(F0.samples * G.samples))))
     h_conv = mult_functional(params, w0, conv)
-    h_prod = mult_functional(params, w0, f0) * mult_functional(params, w0, g_cyc)
+    h_prod = mult_functional(params, w0, f0) * mult_functional(params, w0, f1)
     dev = (abs(h_conv - h_prod)
            / (np.max(np.abs(F0.samples)) * np.max(np.abs(G.samples))))
     checks.append(_result("T1.08", "multiplicative functional against the "
@@ -237,11 +240,8 @@ def tier1(params: SaftParams, size: int, seed: int) -> list:
                           "covariance (normalized to 1e-9 max|V|)", 1.0,
                           max(dev_chirp, dev_acov) / 1e-9))
 
-    nsd = 512
-    grid_sd = centered_grid(nsd / (2.0 * np.sqrt(nsd)), nsd)
-    fsd, gsd = gaussian_mixture_family(grid_sd, 2, seed + 2)
-    dev = max(saft_stft_identity_check(make_params(*abcd), fsd, gsd)
-              for abcd in LATTICE_SETS)
+    fsd, gsd = gaussian_mixture_family(SELF_DUAL_GRID, 2, seed + 2)
+    dev = max(saft_stft_identity_check(pl, fsd, gsd) for pl in LATTICE_SETS)
     checks.append(_result("T1.13", "transform-domain STFT magnitude identity "
                           "(relative, integer lattice sets)", 1e-6, dev))
 
@@ -276,8 +276,7 @@ def tier1(params: SaftParams, size: int, seed: int) -> list:
     # self-dual grids, where the induced frequency grid coincides with the
     # time grid and the double sum is symmetric under swapping f and g
     pq0 = frft_params(np.pi / 4)
-    nsd2 = 512
-    grid_sd2 = centered_grid(nsd2 * np.sqrt(abs(pq0.b) / nsd2) / 2.0, nsd2)
+    grid_sd2 = centered_grid(512 * np.sqrt(abs(pq0.b) / 512) / 2.0, 512)
     fx = gaussian_mixture_family(grid_sd2, 1, seed + 5)[0]
     plan_sd = make_plan(pq0, grid_sd2)
     Fx = saft_fast(plan_sd, fx)
@@ -301,20 +300,21 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
     checks = []
     sizes = (512, 1024, 2048)
 
+    unit_box = indicator(-0.5, 0.5)
     errs = []
     for n in sizes:
         g = centered_grid(8.0, n)
         rate = params.a / params.b
-        f = sample(lambda t: np.exp(-1j * np.pi * rate * t * t)
-                   * ((t >= -0.5) & (t < 0.5)), g, "compact")
+        f = sample(lambda t: np.exp(-1j * np.pi * rate * t * t) * unit_box(t),
+                   g, "compact")
         F = saft(params, f)
         ref = sinc_reference(params, F.freq_grid.nodes())
         errs.append(float(np.max(np.abs(F.samples - ref))))
     ok = _shrinking(errs, slack=0.70) and errs[-1] <= 3e-2
-    checks.append(CheckResult("T2.16", "chirped-indicator closed form: "
-                              f"max dev over N {sizes} = "
-                              f"{['%.3e' % e for e in errs]}, halving trend",
-                              3e-2, errs[-1], bool(ok)))
+    checks.append(_result("T2.16", "chirped-indicator closed form: "
+                          f"max dev over N {sizes} = "
+                          f"{['%.3e' % e for e in errs]}, halving trend",
+                          3e-2, errs[-1], ok))
 
     errs = []
     for n in sizes:
@@ -325,9 +325,9 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
         errs.append(lr_norm(um.with_samples(um.samples - uk.samples), 2)
                     / lr_norm(um, 2))
     ok = _shrinking(errs) and errs[sizes.index(1024)] <= 1e-3
-    checks.append(CheckResult("T2.17", "heat flow: spectral damping vs "
-                              "kernel quadrature (relative L2, decreasing)",
-                              1e-3, errs[sizes.index(1024)], bool(ok)))
+    checks.append(_result("T2.17", "heat flow: spectral damping vs "
+                          "kernel quadrature (relative L2, decreasing)",
+                          1e-3, errs[sizes.index(1024)], ok))
 
     g = centered_grid(8.0, 2048)
     f = raised_cosine_bump(g)
@@ -335,10 +335,10 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
     errs = approx_identity_run(params, f, lambda x: np.exp(-np.pi * x * x),
                                eps_list, r=2)
     ok = _shrinking(list(errs)) and errs[-1] <= 0.05 * lr_norm(f, 2)
-    checks.append(CheckResult("T2.18", "mollifier family: errors "
-                              f"{['%.3e' % e for e in errs]} non-increasing, "
-                              "final under 5% of ||f||_2",
-                              0.05 * lr_norm(f, 2), float(errs[-1]), bool(ok)))
+    checks.append(_result("T2.18", "mollifier family: errors "
+                          f"{['%.3e' % e for e in errs]} non-increasing, "
+                          "final under 5% of ||f||_2",
+                          0.05 * lr_norm(f, 2), errs[-1], ok))
 
     g = centered_grid(HALF_WIDTH, 1024)
     fam = (gaussian_mixture_family(g, 3, seed + 6, mode="compact")
@@ -358,29 +358,25 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
     decile_max = []
     for n in sizes:
         g = centered_grid(8.0, n)
-        f = sample(lambda t: ((t >= -0.5) & (t < 0.5)).astype(complex), g,
-                   "compact")
+        f = sample(unit_box, g, "compact")
         F = saft(params, f)
         wabs = np.abs(F.freq_grid.nodes())
         cut = np.quantile(wabs, 0.9)
         decile_max.append(float(np.max(np.abs(F.samples[wabs >= cut]))))
     ok = _shrinking(decile_max)
-    checks.append(CheckResult("T2.20", "high-frequency decay of an indicator "
-                              f"spectrum: top-decile max {['%.3e' % e for e in decile_max]} "
-                              "decreasing as N doubles", float("inf"),
-                              decile_max[-1], bool(ok)))
+    checks.append(_result("T2.20", "high-frequency decay of an indicator "
+                          f"spectrum: top-decile max {['%.3e' % e for e in decile_max]} "
+                          "decreasing as N doubles", float("inf"),
+                          decile_max[-1], ok))
 
-    nsd = 512
-    grid_sd = centered_grid(nsd / (2.0 * np.sqrt(nsd)), nsd)
     fsd = sample(lambda t: np.exp(-np.pi * (t - 0.4) ** 2)
-                 * np.exp(2j * np.pi * 0.7 * t), grid_sd, "cyclic")
-    gsd = sample(lambda t: np.exp(-np.pi * t * t), grid_sd, "cyclic")
+                 * np.exp(2j * np.pi * 0.7 * t), SELF_DUAL_GRID, "cyclic")
+    gsd = sample(lambda t: np.exp(-np.pi * t * t), SELF_DUAL_GRID, "cyclic")
     V0 = stft(fsd, gsd)
     ells = (0, 1, 2)
     rhs = [weighted_tf_norm(V0, radial_weight(ell), 2.0) for ell in ells]
     worst = 0.0
-    for abcd in LATTICE_SETS:
-        pl = make_params(*abcd)
+    for pl in LATTICE_SETS:
         F = saft(pl, fsd)
         G = saft(pl, gsd)
         VA = stft(Signal(F.freq_grid, F.samples, "cyclic"),
@@ -400,10 +396,9 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
               for f in fam]
     lo, hi = min(ratios), max(ratios)
     ok = WINDOW_BAND[0] <= lo and hi <= WINDOW_BAND[1]
-    checks.append(CheckResult("T2.22", "window independence of the twisted "
-                              f"modulation norm: ratios in [{lo:.4f}, {hi:.4f}] "
-                              f"within band {WINDOW_BAND}", WINDOW_BAND[1],
-                              hi, bool(ok)))
+    checks.append(_result("T2.22", "window independence of the twisted "
+                          f"modulation norm: ratios in [{lo:.4f}, {hi:.4f}] "
+                          f"within band {WINDOW_BAND}", WINDOW_BAND[1], hi, ok))
 
     # extra: transform-side derivative identity (discretization-sensitive).
     # The window grows with N so the frequency step shrinks; the output
@@ -427,9 +422,9 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
                   - saft_fast(plan, tf).samples))
         errs.append(float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
     ok = _shrinking(errs) and errs[-1] < 0.05
-    checks.append(CheckResult("X2.a", "transform-side derivative relation "
-                              f"(O(dw^2) differencing): {['%.3e' % e for e in errs]}",
-                              0.05, errs[-1], bool(ok)))
+    checks.append(_result("X2.a", "transform-side derivative relation "
+                          f"(O(dw^2) differencing): {['%.3e' % e for e in errs]}",
+                          0.05, errs[-1], ok))
     return checks
 
 
@@ -453,10 +448,10 @@ def tier3(params: SaftParams, size: int, seed: int,
     c1, c2 = hormander_scale_invariance(
         sym, params.b, dft_frequencies(g) * params.b)
     ok = worst <= 10.0 and stable and abs(c1 - c2) <= 1e-9
-    checks.append(CheckResult("T3.23", "bounded-symbol probe: max ratio "
-                              f"{worst:.4f} (<=10), stable under N doubling, "
-                              f"scale-invariant decay constant (|dC|={abs(c1 - c2):.1e})",
-                              10.0, worst, bool(ok)))
+    checks.append(_result("T3.23", "bounded-symbol probe: max ratio "
+                          f"{worst:.4f} (<=10), stable under N doubling, "
+                          f"scale-invariant decay constant (|dC|={abs(c1 - c2):.1e})",
+                          10.0, worst, ok))
 
     by_size = []
     for n in sizes:
@@ -470,19 +465,18 @@ def tier3(params: SaftParams, size: int, seed: int,
     positive = all(v > 0 for lo in mins for v in lo)
     stable = all(max(hi) / min(lo) <= 2.0 for lo, hi in zip(mins, maxs))
     obs = max(max(hi) for hi in maxs)
-    checks.append(CheckResult("T3.24", "square-function probe: ratios "
-                              "positive and stable within 2x under N "
-                              f"doubling (max {obs:.4f})", 2.0, obs,
-                              bool(positive and stable)))
+    checks.append(_result("T3.24", "square-function probe: ratios "
+                          "positive and stable within 2x under N "
+                          f"doubling (max {obs:.4f})", 2.0, obs, positive and stable))
 
     if include_bench:
         rows = bench_mod.run_bench(params, (512, 1024, 2048, 4096), repeats=3)
         growth = bench_mod.growth_per_doubling(rows)
         ok = growth["fast"] <= 2.5 and growth["oracle"] >= 3.5
-        checks.append(CheckResult("T3.25", "scaling signature: fast-path "
-                                  f"growth {growth['fast']:.2f}x per doubling "
-                                  f"(<=2.5), oracle {growth['oracle']:.2f}x "
-                                  "(>=3.5)", 2.5, growth["fast"], bool(ok)))
+        checks.append(_result("T3.25", "scaling signature: fast-path "
+                              f"growth {growth['fast']:.2f}x per doubling "
+                              f"(<=2.5), oracle {growth['oracle']:.2f}x "
+                              "(>=3.5)", 2.5, growth["fast"], ok))
     return checks
 
 

@@ -9,6 +9,7 @@ see the per-criterion lines.
 
 import pytest
 
+from saftkit.cli import parse_params
 from saftkit.verify import run_verify, standard_parameter_sets
 
 CRITERIA = {
@@ -83,3 +84,19 @@ def test_every_battery_is_green(reports):
     for name, report in reports.items():
         assert report.passed, (f"{name}: {report.n_fail} failing checks\n"
                                + report.render_text())
+
+
+# The check IDs of a battery without the timing check, in report order.
+# New checks get new IDs; the entries here stay as they are.
+NO_BENCH_IDS = ["T1.01", "T1.02", "T1.03", "T1.04", "T1.05", "T1.06", "T1.07",
+                "T1.08", "T1.09", "T1.10", "T1.11", "T1.12", "T1.13", "T1.14",
+                "T1.15", "X1.a", "T2.16", "T2.17", "T2.18", "T2.19", "T2.20",
+                "T2.21", "T2.22", "X2.a", "T3.23", "T3.24"]
+
+
+# the parameter sets the CI `verify` job runs, as given on its command line
+@pytest.mark.parametrize("text", ("fourier", "frft:0.7853981633974483",
+                                  "1,2,-2,-3,0.3,-0.2", "1,-0.5,0,1,0.2,-0.1"))
+def test_no_bench_battery_check_ids_in_order(text):
+    report = run_verify(parse_params(text), 512, 42, include_bench=False)
+    assert [c.check_id for c in report.checks] == NO_BENCH_IDS

@@ -11,8 +11,9 @@ from saftkit.engine import heat_evolve, make_plan, saft_fast
 from saftkit.grid import (Grid, Signal, centered_grid, load_signal,
                           load_spectrum, save_signal)
 from saftkit.multipliers import LPBank, lp_project
-from saftkit.params import InputError, fourier_params
-from saftkit.timefreq import gaussian_window, stft
+from saftkit.operators import a_translate
+from saftkit.params import InputError, fourier_params, unit_weight
+from saftkit.timefreq import a_mod_norm, gaussian_window, stft
 from saftkit.verify import run_verify, standard_parameter_sets
 from saftkit.families import gaussian_mixture_family
 
@@ -323,6 +324,58 @@ def test_cli_aconv_cyclic_warns_off_the_chirp_period(half, warned, tmp_path,
     ref = aconv_fast(parse_params(text), Signal(grid, f.samples, "cyclic"),
                      Signal(grid, g.samples, "cyclic"), "cyclic")
     assert np.array_equal(h.samples, ref.samples) and h.grid == ref.grid
+
+
+def _seam_case(half, tmp_path, mode="cyclic"):
+    """Generic-set input on a 64-node grid of half-width `half`: the offset
+    chirp makes p * (N dt) / b = 0.3 * 2 half / 2 cycles per window, 3 at
+    half = 10 and 2.4 at 8."""
+    grid = centered_grid(half, 64)
+    f = gaussian_mixture_family(grid, 1, 5, mode)[0]
+    path = str(tmp_path / "f.json")
+    save_signal(f, path)
+    return "1,2,-2,-3,0.3,-0.2", f, path
+
+
+def _assert_seam_warning(err, command, warned):
+    if warned:
+        assert err.startswith(f"saftkit {command}: warning: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("half, mode, warned", ((10.0, "cyclic", False),
+                                                (8.0, "cyclic", True),
+                                                (8.0, "compact", False)))
+def test_cli_op_a_translate_warns_off_the_chirp_period(half, mode, warned,
+                                                       tmp_path, capsys):
+    text, f, path = _seam_case(half, tmp_path, mode)
+    shift = 5 * f.grid.step
+    out = tmp_path / "g.json"
+    assert main(["op", f"--params={text}", f"--a-translate={shift!r}",
+                 "--in", path, "--out", str(out)]) == 0
+    _assert_seam_warning(capsys.readouterr().err, "op", warned)
+    ref = a_translate(f, parse_params(text), shift)
+    assert np.array_equal(load_signal(str(out)).samples, ref.samples)
+
+
+@pytest.mark.parametrize("half, warned", ((10.0, False), (8.0, True)))
+def test_cli_amodnorm_warns_off_the_chirp_period(half, warned, tmp_path, capsys):
+    text, f, path = _seam_case(half, tmp_path)
+    assert main(["amodnorm", f"--params={text}", "-r", "2", "-s", "3",
+                 "--in", path]) == 0
+    printed = capsys.readouterr()
+    ref = a_mod_norm(parse_params(text), f, gaussian_window(f.grid), 2.0, 3.0,
+                     unit_weight())
+    assert printed.out == f"{ref:.12e}\n"
+    _assert_seam_warning(printed.err, "amodnorm", warned)
+
+
+def test_cli_modnorm_never_warns_about_the_chirp_period(tmp_path, capsys):
+    text, _, path = _seam_case(8.0, tmp_path)
+    assert main(["modnorm", f"--params={text}", "-r", "2", "-s", "3",
+                 "--in", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_saft_oracle_matches_fast(signal_file, tmp_path):

@@ -144,7 +144,7 @@ def test_probes_take_every_exponent_from_one_transform(monkeypatch):
     exponent gives, and transforms each family member once."""
     from saftkit import multipliers
     calls = []
-    for name in ("apply_multiplier", "lp_project"):
+    for name in ("apply_symbol", "lp_project"):
         fn = getattr(multipliers, name)
         monkeypatch.setattr(multipliers, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -155,7 +155,7 @@ def test_probes_take_every_exponent_from_one_transform(monkeypatch):
     each = [multiplier_norm_probe(GENERIC, sym, (r,), fam)[0] for r in rs]
     calls.clear()
     assert multiplier_norm_probe(GENERIC, sym, rs, fam) == each
-    assert calls == ["apply_multiplier"] * len(fam)
+    assert calls == ["apply_symbol"] * len(fam)
     bank = LPBank.for_grid(GENERIC, grid)
     fam = covered_family(GENERIC, bank, grid, 4, 88)
     each = [lp_ratio_probe(GENERIC, bank, (r,), fam)[0] for r in rs]

@@ -5,7 +5,7 @@ from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
 from saftkit.operators import (a_modulate, a_translate,
                                a_translate_compose_check, chirp,
                                involution, modulate, translate)
-from saftkit.params import fourier_params, frft_params, make_params
+from saftkit.params import InputError, fourier_params, frft_params, make_params
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
 
@@ -70,6 +70,16 @@ def test_involution_compact_needs_symmetric_grid():
     gs = Grid(-1.5, 1.0, 4)
     f = Signal(gs, np.arange(4, dtype=complex), "compact")
     assert np.allclose(involution(f).samples, [3, 2, 1, 0])
+
+
+def test_involution_compact_symmetry_is_grid_same_as():
+    # Grid.same_as the mirror grid: the origin within 1e-9 of the step of -1.5
+    near = Grid(-1.5 + 0.8e-9, 1.0, 4)
+    f = Signal(near, np.arange(4, dtype=complex), "compact")
+    assert np.array_equal(involution(f).samples, [3, 2, 1, 0])
+    off = Grid(-1.5 + 1.5e-9, 1.0, 4)
+    with pytest.raises(InputError, match="symmetric about 0"):
+        involution(Signal(off, np.arange(4, dtype=complex), "compact"))
 
 
 def test_a_translate_fourier_is_plain_translate():

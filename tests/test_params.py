@@ -70,7 +70,7 @@ def test_special_params_all_validate():
 
 def test_params_dict_roundtrip():
     p = make_params(1, 2, -2, -3, 0.3, -0.2)
-    assert SaftParams.from_dict(p.as_dict()) == p
+    assert SaftParams(**p.as_dict()) == p
 
 
 def test_pre_chirp_trivial_for_fourier():
