@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approxid", help="mollifier (approximate identity) run")
     common(p, out=False)
-    p.add_argument("--phi", choices=("gaussian",), default="gaussian")
     p.add_argument("--eps", type=list_of(float), default=[1.0, 0.5, 0.25, 0.125],
                    help="decreasing comma list of widths")
     p.add_argument("-r", type=float, default=2.0)

@@ -29,18 +29,18 @@ the symbol and takes the inverse step, and project_ranges cuts one
 forward step into blocks of index ranges and inverts each; neither
 touches post.
 
-make_plan is memoised on (params, grid): it keeps the most recently used
-plans within a count and a byte budget, so repeated one-shot calls on one
-pair share a plan.  Plan tables are read-only, so no caller can change a
-shared plan.
+make_plan is memoised on (params, grid) by functools.lru_cache: it keeps
+the PLAN_CACHE_PLANS most recently used plans, so repeated one-shot calls
+on one pair share a plan.  A plan whose tables are larger than
+PLAN_CACHE_BYTES / PLAN_CACHE_PLANS is built and not kept, so the kept
+tables never add up to more than PLAN_CACHE_BYTES.  Plan tables are
+read-only, so no caller can change a shared plan.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,11 +49,10 @@ from .grid import Grid, Signal, Spectrum, near_integer
 from .params import InputError, SaftParams, post_chirp
 
 _ORACLE_CHUNK = 256
-# make_plan keeps at most this many plans, whose tables add up to at most
-# this many bytes, and drops the least recently used first; a plan larger
-# than the byte budget is built but not kept.  The count bound makes a
-# stream of one-off pairs push each other out instead of piling up to the
-# byte budget.
+# make_plan keeps at most this many plans and drops the least recently used
+# first.  A plan whose two tables (32 N bytes) are larger than the byte
+# budget's share of one plan (8 MiB, so N > 2^18) is built but not kept, so
+# the kept tables add up to at most the byte budget.
 PLAN_CACHE_PLANS = 8
 PLAN_CACHE_BYTES = 64 * 2 ** 20
 
@@ -93,60 +92,6 @@ class SaftPlan:
     flip: bool = False
 
 
-class PlanCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    plans: int
-    nbytes: int
-
-
-_plans: OrderedDict = OrderedDict()  # (params, grid) -> plan, oldest first
-_cache = {"hits": 0, "misses": 0, "nbytes": 0}
-_cache_lock = threading.Lock()
-
-
-def make_plan(params: SaftParams, grid: Grid) -> SaftPlan:
-    """The plan for (params, grid), shared by every call with equal arguments."""
-    key = (params, grid)
-    with _cache_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            _cache["hits"] += 1
-            return plan
-        _cache["misses"] += 1
-    plan = _build_plan(params, grid)
-    size = plan.pre.nbytes + plan.post.nbytes
-    if size > PLAN_CACHE_BYTES:
-        return plan
-    with _cache_lock:
-        if key in _plans:  # another thread built it meanwhile
-            return _plans[key]
-        _plans[key] = plan
-        _cache["nbytes"] += size
-        while (_cache["nbytes"] > PLAN_CACHE_BYTES
-               or len(_plans) > PLAN_CACHE_PLANS):
-            _, old = _plans.popitem(last=False)
-            _cache["nbytes"] -= old.pre.nbytes + old.post.nbytes
-    return plan
-
-
-def _cache_info() -> PlanCacheInfo:
-    with _cache_lock:
-        return PlanCacheInfo(_cache["hits"], _cache["misses"], len(_plans),
-                             _cache["nbytes"])
-
-
-def _cache_clear():
-    with _cache_lock:
-        _plans.clear()
-        _cache.update(hits=0, misses=0, nbytes=0)
-
-
-make_plan.cache_info = _cache_info
-make_plan.cache_clear = _cache_clear
-
-
 def _build_plan(params: SaftParams, grid: Grid) -> SaftPlan:
     n = grid.count
     t = grid.nodes()
@@ -164,6 +109,21 @@ def _build_plan(params: SaftParams, grid: Grid) -> SaftPlan:
     post.flags.writeable = False
     return SaftPlan(params, grid, spectrum_grid(params, grid),
                     pre=pre, post=post, flip=params.b < 0)
+
+
+_kept_plan = functools.lru_cache(maxsize=PLAN_CACHE_PLANS)(_build_plan)
+
+
+def make_plan(params: SaftParams, grid: Grid) -> SaftPlan:
+    """The plan for (params, grid), shared by every call with equal arguments
+    while it is among the most recently used."""
+    if 32 * grid.count > PLAN_CACHE_BYTES // PLAN_CACHE_PLANS:
+        return _build_plan(params, grid)
+    return _kept_plan(params, grid)
+
+
+make_plan.cache_info = _kept_plan.cache_info
+make_plan.cache_clear = _kept_plan.cache_clear
 
 
 def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
@@ -231,6 +191,8 @@ def isaft(plan: SaftPlan, F: Spectrum, mode: str = "cyclic") -> Signal:
     and one real factor stand in for the divisions.  isaft(saft_fast(f))
     reproduces f to rounding.
     """
+    if F.params != plan.params:
+        raise InputError("spectrum was made with other parameters than the plan")
     if not plan.freq_grid.same_as(F.freq_grid):
         raise InputError("spectrum was not produced on the plan's grids")
     vals = np.conjugate(plan.post)

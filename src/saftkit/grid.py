@@ -198,13 +198,13 @@ def inner_product(f: Signal, g: Signal) -> complex:
     return complex(f.grid.step * np.sum(f.samples * np.conj(g.samples)))
 
 
-def tail_mass(f: Signal, frac: float = 0.05) -> float:
-    """Fraction of the L^1 mass in the outer `frac` of the window.
+def tail_mass(f: Signal) -> float:
+    """Fraction of the L^1 mass in the outer 5% of the window.
 
     Diagnostic only: the truncation window is an artifact choice and signals
     with visible tail mass approximate the line poorly.
     """
-    n_edge = max(1, int(round(frac * f.grid.count / 2)))
+    n_edge = max(1, int(round(0.05 * f.grid.count / 2)))
     mag = np.abs(f.samples)
     total = mag.sum()
     if total == 0.0:
@@ -349,7 +349,8 @@ def save_signal_csv(f: Signal, path: str):
                      [f.grid.nodes(), f.samples.real, f.samples.imag])
 
 
-def load_signal_csv(path: str, mode: str = "compact") -> Signal:
+def load_signal_csv(path: str) -> Signal:
+    """The compact signal of a t,re,im CSV whose time column is uniform."""
     ts, vals = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -371,7 +372,11 @@ def load_signal_csv(path: str, mode: str = "compact") -> Signal:
         raise InputError("CSV time column must be finite")
     steps = np.diff(t)
     step = float(steps[0])
-    if not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
+    # 1e-9 relative on the step, plus the rounding that start + n * step
+    # leaves in each stored position (at most 1.5 eps max|t|, so at most
+    # 6 eps max|t| between two steps)
+    tol = 1e-9 * abs(step) + 8.0 * np.finfo(float).eps * np.max(np.abs(t))
+    if not np.all(np.abs(steps - step) <= tol):
         raise InputError("CSV time column must be uniform")
     samples = _finite_samples(np.asarray(vals, dtype=complex))
-    return Signal(Grid(float(t[0]), step, len(t)), samples, mode)
+    return Signal(Grid(float(t[0]), step, len(t)), samples)

@@ -240,6 +240,8 @@ def lp_project(params: SaftParams, bank: LPBank, f: Signal,
     each block given as the two index ranges of block_ranges."""
     if plan is None:
         plan = make_plan(params, f.grid)
+    elif plan.params != params:
+        raise InputError("plan was built for other parameters")
     w = plan.freq_grid.nodes()
     return project_ranges(plan, f, [bank.block_ranges(j, w) for j in bank.levels])
 

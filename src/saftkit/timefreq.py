@@ -147,18 +147,18 @@ def _unit_l2(f: Signal) -> Signal:
     return f.with_samples(f.samples / norm)
 
 
-def gaussian_window(grid: Grid, mode: str = "cyclic") -> Signal:
+def gaussian_window(grid: Grid) -> Signal:
     """Unit-L2 Gaussian matched to the grid: decayed below 1e-12 at the edge."""
     half = grid.span / 2.0
     center = grid.start + half
     alpha = 12.0 * np.log(10.0) / (half * half)
     t = grid.nodes() - center
-    return _unit_l2(Signal(grid, np.exp(-alpha * t * t), mode))
+    return _unit_l2(Signal(grid, np.exp(-alpha * t * t), "cyclic"))
 
 
-def raised_cosine_window(grid: Grid, mode: str = "cyclic") -> Signal:
+def raised_cosine_window(grid: Grid) -> Signal:
     """Unit-L2 raised cosine supported on the middle half of the window."""
-    return _unit_l2(Signal(grid, raised_cosine(grid, grid.span / 4.0), mode))
+    return _unit_l2(Signal(grid, raised_cosine(grid, grid.span / 4.0), "cyclic"))
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,10 @@ def _result(check_id, statement, tol, observed, ok=None) -> CheckResult:
     return CheckResult(check_id, statement, tol, observed, bool(ok))
 
 
-def _shrinking(errors, slack: float = 1.05, floor: float = 1e-12) -> bool:
-    """Non-increasing within a multiplicative slack and an absolute floor
-    (rounding-level errors may jitter)."""
-    return all(e2 <= e1 * slack + floor for e1, e2 in zip(errors, errors[1:]))
+def _shrinking(errors, slack: float = 1.05) -> bool:
+    """Non-increasing within a multiplicative slack and an absolute floor of
+    1e-12 (rounding-level errors may jitter)."""
+    return all(e2 <= e1 * slack + 1e-12 for e1, e2 in zip(errors, errors[1:]))
 
 
 def _battery_signals(grid: Grid, seed: int) -> list:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from saftkit import engine
-from saftkit.engine import (apply_symbol, chirp_period_compatible,
+from saftkit.engine import (PLAN_CACHE_PLANS, apply_symbol, chirp_period_compatible,
                             dft_frequencies, heat_evolve, isaft, make_plan,
                             project_ranges, saft, saft_fast, saft_oracle, sinc_reference,
                             spectrum_grid, twisted_derivative)
@@ -108,6 +108,15 @@ def test_isaft_rejects_foreign_grid():
     other = spectrum_grid(GENERIC, centered_grid(5.0, 64))
     with pytest.raises(ValueError):
         isaft(plan, Spectrum(GENERIC, other, np.zeros(64)))
+
+
+def test_isaft_rejects_a_spectrum_made_under_other_parameters():
+    g = centered_grid(8.0, 256)
+    F = saft(fourier_params(), sample(lambda t: np.exp(-np.pi * t * t), g))
+    plan = make_plan(make_params(1, 1, 0, 1), g)
+    assert plan.freq_grid.same_as(F.freq_grid)  # same |b|, so the same grids
+    with pytest.raises(InputError, match="other parameters than the plan"):
+        isaft(plan, F)
 
 
 def test_plan_rejects_foreign_signal():
@@ -410,12 +419,12 @@ def test_plan_cache_shares_plans_of_equal_pairs(plan_cache):
     plan = make_plan(GENERIC, Grid(-3.7, 0.05, 255))
     again = make_plan(make_params(1, 2, -2, -3, 0.3, -0.2), Grid(-3.7, 0.05, 255))
     assert again is plan
-    assert plan_cache() == (1, 1, 1, plan.pre.nbytes + plan.post.nbytes)
+    assert plan_cache() == (1, 1, PLAN_CACHE_PLANS, 1)
     assert make_plan(GENERIC, Grid(-3.65, 0.05, 255)) is not plan
     assert make_plan(make_params(1, 2, -2, -3, 0.3, -0.1),
                      Grid(-3.7, 0.05, 255)) is not plan
     assert make_plan(GENERIC, Grid(-3.7, 0.05, 255)) is plan
-    assert plan_cache()[:3] == (2, 3, 3)
+    assert plan_cache() == (2, 3, PLAN_CACHE_PLANS, 3)
 
 
 def test_plan_tables_are_read_only(plan_cache):
@@ -429,39 +438,40 @@ def test_plan_tables_are_read_only(plan_cache):
 
 
 def test_plan_cache_keeps_its_byte_budget(plan_cache, monkeypatch):
-    size = 2 * 64 * 16  # two complex tables of 64 entries
-    monkeypatch.setattr(engine, "PLAN_CACHE_BYTES", 2 * size)
-    big = make_plan(GENERIC, centered_grid(4.0, 256))
-    assert plan_cache() == (0, 1, 0, 0)
-    assert make_plan(GENERIC, centered_grid(4.0, 256)) is not big
-    first, second = (make_plan(GENERIC, Grid(start, 0.125, 64)) for start in (-4.0, -3.0))
-    assert plan_cache()[2:] == (2, 2 * size)
-    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is first  # now most recent
-    make_plan(GENERIC, Grid(-2.0, 0.125, 64))  # evicts the least recent
-    assert plan_cache()[2:] == (2, 2 * size)
-    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is first
-    assert make_plan(GENERIC, Grid(-3.0, 0.125, 64)) is not second
+    # the byte budget's share of one plan fits the two tables of 64 points
+    monkeypatch.setattr(engine, "PLAN_CACHE_BYTES", PLAN_CACHE_PLANS * 2 * 64 * 16)
+    kept = make_plan(GENERIC, Grid(-4.0, 0.125, 64))
+    assert kept.pre.nbytes + kept.post.nbytes == 2 * 64 * 16
+    big = make_plan(GENERIC, Grid(-4.0, 0.125, 65))
+    again = make_plan(GENERIC, Grid(-4.0, 0.125, 65))
+    assert again is not big
+    assert big.grid == again.grid == Grid(-4.0, 0.125, 65)
+    assert np.array_equal(big.pre, again.pre) and np.array_equal(big.post, again.post)
+    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is kept
+    assert plan_cache() == (1, 1, PLAN_CACHE_PLANS, 1)
 
 
-def test_plan_cache_keeps_its_plan_count(plan_cache, monkeypatch):
-    monkeypatch.setattr(engine, "PLAN_CACHE_PLANS", 2)
-    first, second, third = (make_plan(GENERIC, Grid(start, 0.125, 64))
-                            for start in (-4.0, -3.0, -2.0))
-    assert plan_cache()[2] == 2
-    assert make_plan(GENERIC, Grid(-3.0, 0.125, 64)) is second
-    assert make_plan(GENERIC, Grid(-2.0, 0.125, 64)) is third
-    assert make_plan(GENERIC, Grid(-4.0, 0.125, 64)) is not first
+def test_plan_cache_keeps_its_plan_count(plan_cache):
+    assert PLAN_CACHE_PLANS == 8
+    grids = [Grid(-4.0 + 0.125 * k, 0.125, 64) for k in range(9)]
+    plans = [make_plan(GENERIC, g) for g in grids[:8]]
+    assert make_plan(GENERIC, grids[0]) is plans[0]  # now most recent
+    make_plan(GENERIC, grids[8])  # evicts the least recent, grids[1]
+    assert plan_cache().currsize == 8
+    assert all(make_plan(GENERIC, g) is plan for g, plan in zip(grids[2:8], plans[2:8]))
+    assert make_plan(GENERIC, grids[0]) is plans[0]
+    assert make_plan(GENERIC, grids[1]) is not plans[1]
+    assert plan_cache() == (8, 10, 8, 8)
 
 
-def test_plan_cache_stays_consistent_under_threads(plan_cache, monkeypatch):
-    monkeypatch.setattr(engine, "PLAN_CACHE_PLANS", 3)
-    grids = [Grid(-4.0 + 0.125 * k, 0.125, 64) for k in range(5)]
+def test_plan_cache_stays_consistent_under_threads(plan_cache):
+    grids = [Grid(-4.0 + 0.125 * k, 0.125, 64) for k in range(10)]
     calls = 400
     results = [[] for _ in range(8)]
 
     def work(out):
         for i in range(calls):
-            out.append(make_plan(GENERIC, grids[i % 5]).grid)
+            out.append(make_plan(GENERIC, grids[i % 10]))
 
     threads = [threading.Thread(target=work, args=(out,)) for out in results]
     interval = sys.getswitchinterval()
@@ -474,10 +484,15 @@ def test_plan_cache_stays_consistent_under_threads(plan_cache, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert all(out == [grids[i % 5] for i in range(calls)] for out in results)
-    hits, misses, plans, nbytes = plan_cache()
-    assert hits + misses == len(threads) * calls
-    assert (plans, nbytes) == (3, 3 * 2 * 64 * 16)
+    refs = [engine._build_plan(GENERIC, g) for g in grids]
+    for out in results:
+        assert [plan.grid for plan in out] == [grids[i % 10] for i in range(calls)]
+        assert all(np.array_equal(plan.pre, refs[i % 10].pre)
+                   and np.array_equal(plan.post, refs[i % 10].post)
+                   for i, plan in enumerate(out))
+    info = plan_cache()
+    assert info.hits + info.misses == len(threads) * calls
+    assert info.currsize == PLAN_CACHE_PLANS
 
 
 def test_oracles_use_no_fft_and_no_plan(monkeypatch):

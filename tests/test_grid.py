@@ -272,6 +272,25 @@ def test_csv_rejects_nonuniform_time(tmp_path):
         load_signal_csv(str(path))
 
 
+def test_csv_rejects_nonuniform_time_at_a_tiny_step(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text("t,re,im\n0,1,0\n1e-13,1,0\n5e-13,1,0\n")
+    with pytest.raises(InputError, match="CSV time column must be uniform"):
+        load_signal_csv(str(path))
+
+
+@pytest.mark.parametrize("start, step", ((-1e6, 1e-3), (1e3, 1e-4), (5.0, 1e-7),
+                                         (0.0, 1e-13)))
+def test_csv_loads_what_save_signal_csv_writes(start, step, tmp_path):
+    f = Signal(Grid(start, step, 64), np.arange(64) * (0.5 - 1j))
+    path = tmp_path / "f.csv"
+    save_signal_csv(f, str(path))
+    back = load_signal_csv(str(path))
+    assert np.array_equal(back.samples, f.samples) and back.mode == "compact"
+    assert back.grid.start == start and back.grid.count == 64
+    assert back.grid.step == pytest.approx(step, rel=1e-6)
+
+
 def test_tail_mass_diagnostic():
     g = centered_grid(8.0, 256)
     centered = sample(lambda t: np.exp(-np.pi * t * t), g)

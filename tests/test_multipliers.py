@@ -215,6 +215,14 @@ def test_lp_project_rejects_a_plan_for_another_grid():
         lp_project(GENERIC, LPBank.for_grid(GENERIC, grid), f, plan)
 
 
+def test_lp_project_rejects_a_plan_for_other_parameters():
+    grid = centered_grid(10.0, 256)
+    f = gaussian_mixture_family(grid, 1, 80)[0]
+    plan = make_plan(fourier_params(), grid)
+    with pytest.raises(InputError, match="plan was built for other parameters"):
+        lp_project(GENERIC, LPBank.for_grid(GENERIC, grid), f, plan)
+
+
 @pytest.mark.parametrize("lo, hi", ((np.nan, 1.0), (0.0, np.inf), (2.0, 1.0), (1.0, 1.0)))
 def test_indicator_needs_finite_ordered_bounds(lo, hi):
     with pytest.raises(InputError, match="finite lo < hi"):
