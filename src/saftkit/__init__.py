@@ -8,16 +8,17 @@ fast path, and a verification battery that exercises the operator
 identities at desk scale.
 """
 
-from .params import (InputError, SaftParams, make_params, special_params,
-                     fourier_params, frft_params, fresnel_params, lct_params,
-                     pre_chirp, post_chirp, quad_chirp, WeightSpec, unit_weight,
-                     radial_weight, transported_weight, freq_scaled_weight,
-                     sheared_weight, weight_eval)
+from .params import (InputError, SaftParams, make_params, fourier_params,
+                     frft_params, fresnel_params, pre_chirp, post_chirp,
+                     quad_chirp, WeightSpec, unit_weight, radial_weight,
+                     transported_weight, freq_scaled_weight, sheared_weight,
+                     weight_eval)
 from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,
                    indicator, lr_norm, spectrum_norm, inner_product, tail_mass,
                    save_signal, load_signal, save_spectrum, load_spectrum)
 from .operators import (translate, modulate, chirp, involution,
-                        a_translate, a_modulate, a_translate_compose_check)
+                        a_translate, a_modulate, a_translate_compose_check,
+                        a_translate_commute_check)
 from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle, isaft,
                      apply_symbol, spectrum_grid, dft_frequencies,
                      chirp_period_compatible, sinc_reference,
@@ -31,9 +32,8 @@ from .timefreq import (TFMatrix, stft, window_flip,
                        a_mod_norm_oracle, weighted_tf_norm)
 from .multipliers import (SymbolSpec, imaginary_power, smoothed_sign,
                           dyadic_bump, indicator_symbol, indicator_union,
-                          apply_multiplier, hormander_validate,
-                          hormander_scale_invariance, multiplier_norm_probe,
-                          LPBank, lp_project, square_function,
-                          lp_ratio_probe, wendel_commute_check)
+                          apply_multiplier, decay_constant,
+                          hormander_scale_invariance, norm_ratios,
+                          LPBank, lp_project, square_function)
 
 __version__ = "0.1.0"

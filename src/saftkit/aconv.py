@@ -57,8 +57,9 @@ def aconv_fast(params: SaftParams, f: Signal, g: Signal,
     """
     _require_same_grid(f, g)
     n = f.grid.count
-    u = quad_chirp(params, f.grid.nodes()) * f.samples
-    v = quad_chirp(params, g.grid.nodes()) * g.samples
+    chirp = quad_chirp(params, f.grid.nodes())  # g is on the same grid
+    u = chirp * f.samples
+    v = chirp * g.samples
     scale = f.grid.step / np.sqrt(abs(params.b))
     if mode == "compact":
         m = 2 * n - 1
@@ -70,7 +71,7 @@ def aconv_fast(params: SaftParams, f: Signal, g: Signal,
         k0 = f.grid.steps_of(f.grid.start, "cyclic convolution needs the "
                              "grid origin on the step lattice")
         w = np.roll(np.fft.ifft(np.fft.fft(u) * np.fft.fft(v)), k0)
-        out = scale * np.conj(quad_chirp(params, f.grid.nodes())) * w
+        out = scale * np.conj(chirp) * w
         return Signal(f.grid, out, "cyclic")
     raise InputError(f"unknown mode: {mode!r}")
 

@@ -24,15 +24,14 @@ from .families import bandlimited_family, covered_family
 from .grid import (Grid, Signal, centered_grid, load_signal, load_signal_csv,
                    load_spectrum, save_columns_csv, save_json, save_signal,
                    save_signal_csv, save_spectrum, signal_to_dict, tail_mass)
-from .multipliers import (LPBank, SymbolSpec, apply_multiplier, dyadic_bump,
-                          hormander_scale_invariance, hormander_validate,
+from .multipliers import (LPBank, SymbolSpec, apply_multiplier, decay_constant,
+                          dyadic_bump, hormander_scale_invariance,
                           imaginary_power, indicator_symbol, lp_project,
-                          lp_ratio_probe, multiplier_norm_probe, smoothed_sign,
-                          square_function)
+                          norm_ratios, smoothed_sign, square_function)
 from .operators import (a_modulate, a_translate, chirp, involution, modulate,
                         translate)
-from .params import (InputError, SaftParams, make_params, radial_weight,
-                     special_params, unit_weight)
+from .params import (InputError, SaftParams, fourier_params, fresnel_params,
+                     frft_params, make_params, radial_weight, unit_weight)
 from .timefreq import (a_mod_norm, gaussian_window, mod_norm,
                        raised_cosine_window, stft, tf_to_dict)
 from .verify import VALID_SIZES, run_verify
@@ -56,15 +55,13 @@ def _reasoned(parse):
 def parse_params(text: str) -> SaftParams:
     """fourier | frft:THETA | fresnel:B | a,b,c,d,p,q"""
     if text == "fourier":
-        return special_params("fourier")
+        return fourier_params()
     if text.startswith("frft:"):
-        return special_params("frft", float(text.split(":", 1)[1]))
+        return frft_params(float(text.split(":", 1)[1]))
     if text.startswith("fresnel:"):
-        return special_params("fresnel", float(text.split(":", 1)[1]))
+        return fresnel_params(float(text.split(":", 1)[1]))
     parts = [float(x) for x in text.split(",")]
-    if len(parts) == 4:
-        return special_params("lct", *parts)
-    if len(parts) == 6:
+    if len(parts) in (4, 6):  # a,b,c,d has zero offset
         return make_params(*parts)
     raise argparse.ArgumentTypeError(
         "expected fourier | frft:THETA | fresnel:B | a,b,c,d,p,q")
@@ -415,18 +412,18 @@ def _run(args) -> int:
         if args.kind == "hormander":
             sym = imaginary_power(1.0)
             fam = bandlimited_family(grid, args.count, args.seed)
-            ratio, = multiplier_norm_probe(P, sym, (args.r,), fam)
+            (_, ratio), = norm_ratios(lambda f: apply_multiplier(P, sym, f),
+                                      (args.r,), fam)
             omegas = np.linspace(-10, 10, 401)
-            res = hormander_validate(sym, omegas)
             c1, c2 = hormander_scale_invariance(sym, P.b, omegas)
-            print(f"max ratio={ratio:.6f} C_est={res['C_est']:.6f} "
+            print(f"max ratio={ratio:.6f} C_est={decay_constant(sym, omegas):.6f} "
                   f"scale dC={abs(c1 - c2):.2e}")
         else:
             bank = LPBank.for_grid(P, grid)
             fam = covered_family(P, bank, grid, args.count, args.seed)
-            res, = lp_ratio_probe(P, bank, (args.r,), fam)
-            print(f"min ratio={res['min_ratio']:.6f} "
-                  f"max ratio={res['max_ratio']:.6f}")
+            (lo, hi), = norm_ratios(
+                lambda f: square_function(lp_project(P, bank, f)), (args.r,), fam)
+            print(f"min ratio={lo:.6f} max ratio={hi:.6f}")
         return 0
 
     if args.command == "verify":

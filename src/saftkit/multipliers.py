@@ -1,4 +1,4 @@
-"""Transform-domain multipliers, symbol validation, and the dyadic bank.
+"""Transform-domain multipliers, the dyadic bank and the norm-ratio probe.
 
 A multiplier acts diagonally on the discrete transform: pass to the
 spectrum, multiply by the symbol on the induced frequency grid, invert.
@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aconv import aconv_fast
 from .engine import SaftPlan, apply_symbol, make_plan, project_ranges
 from .grid import Grid, Signal, lr_norm
-from .operators import a_translate
 from .params import InputError, SaftParams
 
 _SMOOTH_KINDS = ("imaginary_power", "smoothed_sign", "dyadic_bump")
@@ -132,20 +130,11 @@ def apply_multiplier(params: SaftParams, m: SymbolSpec, f: Signal) -> Signal:
     return apply_symbol(plan, f, m.value(plan.freq_grid.nodes()))
 
 
-def _decay_constant(m: SymbolSpec, omegas) -> float:
-    """sup |m'(w)| |w| over the nonzero entries of omegas."""
+def decay_constant(m: SymbolSpec, omegas) -> float:
+    """Hormander decay constant sup |m'(w)| |w| over the nonzero omegas."""
     w = np.asarray(omegas, dtype=float)
     w = w[w != 0]
     return float(np.max(np.abs(m.derivative(w)) * np.abs(w), initial=0.0))
-
-
-def hormander_validate(m: SymbolSpec, omegas) -> dict:
-    """Estimate the decay constant sup |m'(w)| |w| over the nonzero grid.
-
-    pass means the estimate is finite; only smooth symbol kinds qualify.
-    """
-    c_est = _decay_constant(m, omegas)
-    return {"C_est": c_est, "pass": bool(np.isfinite(c_est))}
 
 
 def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, float]:
@@ -158,23 +147,21 @@ def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, 
     w = w[w != 0]
     x = w / b
     c2 = float(np.max(np.abs(b * m.derivative(b * x)) * np.abs(x), initial=0.0))
-    return _decay_constant(m, w), c2
+    return decay_constant(m, w), c2
 
 
-def multiplier_norm_probe(params: SaftParams, m: SymbolSpec, rs: tuple[float, ...],
-                          family: list[Signal]) -> list[float]:
-    """Max empirical ratio ||T_m f||_r / ||f||_r over the family (one grid),
-    one per exponent r in rs, in that order.  The symbol is evaluated and
-    each member transformed once; every r-norm is taken of that output."""
+def norm_ratios(op, rs: tuple[float, ...],
+                family: list[Signal]) -> list[tuple[float, float]]:
+    """Empirical (min, max) of ||op f||_r / ||f||_r over the family, one pair
+    per exponent r in rs, in that order.  op, any callable Signal -> Signal,
+    is applied once per member; every r-norm is taken of that one output."""
     if not family:
         raise InputError("the probe family is empty")
-    plan = make_plan(params, family[0].grid)
-    values = m.value(plan.freq_grid.nodes())
-    worst = [0.0] * len(rs)
+    ratios = []
     for f in family:
-        out = apply_symbol(plan, f, values)
-        worst = [max(w, lr_norm(out, r) / lr_norm(f, r)) for w, r in zip(worst, rs)]
-    return worst
+        out = op(f)
+        ratios.append([lr_norm(out, r) / lr_norm(f, r) for r in rs])
+    return [(min(v), max(v)) for v in zip(*ratios)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +244,3 @@ def square_function(blocks: list[Signal]) -> Signal:
             raise InputError("blocks must share a grid")
         acc += np.abs(blk.samples) ** 2
     return Signal(grid, np.sqrt(acc).astype(complex), blocks[0].mode)
-
-
-def lp_ratio_probe(params: SaftParams, bank: LPBank, rs: tuple[float, ...],
-                   family: list[Signal]) -> list[dict]:
-    """Empirical min/max of ||square_function(f)||_r / ||f||_r over the family
-    (one grid): one {"min_ratio", "max_ratio"} dict per exponent r in rs, in
-    that order.  Each member is projected once; every r-norm is taken of
-    that one square function."""
-    if not family:
-        raise InputError("the probe family is empty")
-    plan = make_plan(params, family[0].grid)
-    ratios = [[] for _ in rs]
-    for f in family:
-        sf = square_function(lp_project(params, bank, f, plan))
-        for acc, r in zip(ratios, rs):
-            acc.append(lr_norm(sf, r) / lr_norm(f, r))
-    return [{"min_ratio": float(min(v)), "max_ratio": float(max(v))} for v in ratios]
-
-
-def wendel_commute_check(params: SaftParams, u: Signal, x: float,
-                         f: Signal) -> float:
-    """Deviation between u *A (T^A_x f) and T^A_x (u *A f), cyclic mode.
-
-    Convolution against a fixed u commutes with every grid-aligned twisted
-    translation; both sides are assembled in the signal domain.
-    """
-    lhs = aconv_fast(params, u, a_translate(f, params, x), "cyclic").samples
-    rhs = a_translate(aconv_fast(params, u, f, "cyclic"), params, x).samples
-    return float(np.max(np.abs(lhs - rhs)))

@@ -102,3 +102,13 @@ def a_translate_compose_check(params: SaftParams, x: float, y: float,
     factor = np.exp(-2j * np.pi * params.a / params.b * x * y)
     rhs = factor * a_translate(f, params, x + y).samples
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+
+def a_translate_commute_check(params: SaftParams, op, x: float,
+                              f: Signal) -> float:
+    """Max |op(T^A_x f) - T^A_x op(f)| for op, any callable Signal -> Signal:
+    rounding-level for an A-convolution or a multiplier (cyclic mode,
+    grid-aligned x), O(1) for an operator that does not commute."""
+    lhs = op(a_translate(f, params, x)).samples
+    rhs = a_translate(op(f), params, x).samples
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -88,24 +88,6 @@ def fresnel_params(b: float) -> SaftParams:
     return SaftParams(1.0, float(b), 0.0, 1.0)
 
 
-def lct_params(a: float, b: float, c: float, d: float) -> SaftParams:
-    """Linear canonical transform: a SAFT with zero offset (p = q = 0)."""
-    return make_params(a, b, c, d, 0.0, 0.0)
-
-
-def special_params(kind: str, *args: float) -> SaftParams:
-    """Named parameter families: fourier, frft(theta), fresnel(b), lct(a,b,c,d)."""
-    if kind == "fourier":
-        return fourier_params()
-    if kind == "frft":
-        return frft_params(*args)
-    if kind == "fresnel":
-        return fresnel_params(*args)
-    if kind == "lct":
-        return lct_params(*args)
-    raise InputError(f"unknown special parameter kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary unit-modulus phases.  The transform factors as
 #   F(f)(w) = post_chirp(w)/sqrt|b| * FT(pre_chirp * f)(w/b),

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .aconv import aconv_fast
 from .engine import dft_frequencies, saft
 from .grid import (Grid, Signal, _pairs, _require_same_grid, centered_grid,
-                   near_integer, raised_cosine)
+                   lr_norm, near_integer, raised_cosine)
 from .operators import a_modulate, a_translate, chirp, involution
 from .params import (InputError, SaftParams, WeightSpec, pre_chirp, quad_chirp,
                      weight_eval)
@@ -143,8 +143,7 @@ def window_flip(g: Signal) -> Signal:
 
 def _unit_l2(f: Signal) -> Signal:
     """f divided by its quadrature L2 norm."""
-    norm = np.sqrt(f.grid.step * np.sum(np.abs(f.samples) ** 2))
-    return f.with_samples(f.samples / norm)
+    return f.with_samples(f.samples / lr_norm(f, 2))
 
 
 def gaussian_window(grid: Grid) -> Signal:

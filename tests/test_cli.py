@@ -538,6 +538,19 @@ def test_cli_negative_first_param_with_equals(signal_file, tmp_path):
     assert np.max(np.abs(F.samples - ref.samples)) <= 1e-12
 
 
+PROBE_LINES = {
+    "hormander": "max ratio=1.028869 C_est=1.000000 scale dC=0.00e+00",
+    "lp": "min ratio=0.871866 max ratio=0.995032",
+}
+
+
+@pytest.mark.parametrize("kind", PROBE_LINES)
+def test_cli_probe_prints_its_pinned_line(kind, capsys):
+    assert main(["probe", "--params=1,2,-2,-3,0.3,-0.2", "--kind", kind,
+                 "-r", "4"]) == 0
+    assert capsys.readouterr().out == PROBE_LINES[kind] + "\n"
+
+
 def test_cli_verify_rejects_bad_size():
     with pytest.raises(SystemExit):
         main(["verify", "--size", "300"])

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from saftkit.aconv import aconv_fast
+from saftkit.engine import twisted_derivative
+from saftkit.families import gaussian_mixture_family
 from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
+from saftkit.multipliers import apply_multiplier, smoothed_sign
 from saftkit.operators import (a_modulate, a_translate,
+                               a_translate_commute_check,
                                a_translate_compose_check, chirp,
                                involution, modulate, translate)
 from saftkit.params import InputError, fourier_params, frft_params, make_params
@@ -176,3 +181,23 @@ def test_translation_strong_continuity_trend():
         shifted = a_translate(f, GENERIC, g.step)
         errs.append(lr_norm(f.with_samples(shifted.samples - f.samples), 2))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("p", (fourier_params(), frft_params(np.pi / 4), GENERIC),
+                         ids=("fourier", "frft", "generic"))
+def test_commute_check_separates_a_convolutions_from_other_operators(p):
+    """Rounding-level for operators that commute with twisted translation,
+    O(1) for twisted modulation and for multiplication by t."""
+    grid = centered_grid(10.0, 256)
+    u, f = gaussian_mixture_family(grid, 2, 91)
+    x = 3 * grid.step
+    top = lr_norm(f, np.inf)
+
+    def dev(op):
+        return a_translate_commute_check(p, op, x, f)
+
+    assert dev(lambda h: aconv_fast(p, u, h, "cyclic")) <= 1e-13 * lr_norm(u, 1) * top
+    assert dev(lambda h: twisted_derivative(p, h, "spectral")) <= 1e-11 * top
+    assert dev(lambda h: apply_multiplier(p, smoothed_sign(1.0), h)) <= 1e-12 * top
+    assert dev(lambda h: a_modulate(h, p, 0.5)) >= 0.1 * top
+    assert dev(lambda h: h.with_samples(h.grid.nodes() * h.samples)) >= 0.1 * top

@@ -7,7 +7,7 @@ import saftkit
 from saftkit.params import (InputError, SaftParams, WeightSpec, fourier_params,
                             fresnel_params, frft_params, make_params,
                             post_chirp, pre_chirp, quad_chirp, radial_weight,
-                            sheared_weight, special_params, transported_weight,
+                            sheared_weight, transported_weight,
                             unit_weight, freq_scaled_weight, weight_eval)
 
 
@@ -45,26 +45,26 @@ def test_non_finite_entries_rejected(entries):
 
 
 def test_special_frft_half_pi_is_fourier():
-    p = special_params("frft", np.pi / 2)
+    p = frft_params(np.pi / 2)
     ref = fourier_params()
     for attr in "abcdpq":
         assert getattr(p, attr) == pytest.approx(getattr(ref, attr), abs=1e-12)
 
 
 def test_special_fresnel():
-    p = special_params("fresnel", 2.0)
+    p = fresnel_params(2.0)
     assert (p.a, p.b, p.c, p.d, p.p, p.q) == (1.0, 2.0, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_frft_multiple_of_pi_rejected():
     with pytest.raises(ValueError):
-        special_params("frft", np.pi)
+        frft_params(np.pi)
 
 
 def test_special_params_all_validate():
     # construction round-trips through the same validation as make_params
-    for p in (special_params("fourier"), special_params("frft", 0.3),
-              special_params("fresnel", -1.5), special_params("lct", 2, 1, 1, 1)):
+    for p in (fourier_params(), frft_params(0.3),
+              fresnel_params(-1.5), make_params(2, 1, 1, 1)):
         assert abs(p.a * p.d - p.b * p.c - 1.0) <= 1e-12
 
 
