@@ -33,7 +33,7 @@ from .timefreq import (TFMatrix, stft, window_flip,
 from .multipliers import (SymbolSpec, imaginary_power, smoothed_sign,
                           dyadic_bump, indicator_symbol, indicator_union,
                           apply_multiplier, decay_constant,
-                          hormander_scale_invariance, norm_ratios,
+                          derivative_defect, norm_ratios,
                           LPBank, lp_project, square_function)
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ from .grid import (Grid, Signal, centered_grid, load_signal, load_signal_csv,
                    load_spectrum, save_columns_csv, save_json, save_signal,
                    save_signal_csv, save_spectrum, signal_to_dict, tail_mass)
 from .multipliers import (LPBank, SymbolSpec, apply_multiplier, decay_constant,
-                          dyadic_bump, hormander_scale_invariance,
-                          imaginary_power, indicator_symbol, lp_project,
-                          norm_ratios, smoothed_sign, square_function)
+                          derivative_defect, dyadic_bump, imaginary_power,
+                          indicator_symbol, lp_project, norm_ratios,
+                          smoothed_sign, square_function)
 from .operators import (a_modulate, a_translate, chirp, involution, modulate,
                         translate)
 from .params import (InputError, SaftParams, fourier_params, fresnel_params,
@@ -415,9 +415,8 @@ def _run(args) -> int:
             (_, ratio), = norm_ratios(lambda f: apply_multiplier(P, sym, f),
                                       (args.r,), fam)
             omegas = np.linspace(-10, 10, 401)
-            c1, c2 = hormander_scale_invariance(sym, P.b, omegas)
             print(f"max ratio={ratio:.6f} C_est={decay_constant(sym, omegas):.6f} "
-                  f"scale dC={abs(c1 - c2):.2e}")
+                  f"deriv defect={derivative_defect(sym, omegas):.2e}")
         else:
             bank = LPBank.for_grid(P, grid)
             fam = covered_family(P, bank, grid, args.count, args.seed)

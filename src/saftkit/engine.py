@@ -29,6 +29,13 @@ the symbol and takes the inverse step, and project_ranges cuts one
 forward step into blocks of index ranges and inverts each; neither
 touches post.
 
+The inverse step works in place: ifft(row, out=row), then row *= conj(pre).
+A multi-row call (project_ranges) at N >= SPLIT_MIN_POINTS splits its rows
+across the CPUs this process may use; numpy's FFT and the multiply release
+the GIL, and every row gets the same calls, so the output is the same bit
+for bit.  Each helper thread keeps pocketfft's scratch in its own malloc
+arena, about 3 MB at N = 2^16 and 13 MB at 2^18 per helper.
+
 make_plan is memoised on (params, grid) by functools.lru_cache: it keeps
 the PLAN_CACHE_PLANS most recently used plans, so repeated one-shot calls
 on one pair share a plan.  A plan whose tables are larger than
@@ -40,6 +47,7 @@ read-only, so no caller can change a shared plan.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,10 @@ _ORACLE_CHUNK = 256
 # the kept tables add up to at most the byte budget.
 PLAN_CACHE_PLANS = 8
 PLAN_CACHE_BYTES = 64 * 2 ** 20
+# A multi-row inverse step splits its rows across threads from this many
+# points per row on.  Starting a helper costs about 0.5 ms, which the split
+# wins back from 2^14 points on (BENCH_lp_split.json holds the crossover).
+SPLIT_MIN_POINTS = 2 ** 14
 
 
 def dft_frequencies(grid: Grid) -> np.ndarray:
@@ -133,14 +145,43 @@ def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
     return np.fft.fft(plan.pre * f.samples)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _invert_rows(rows: np.ndarray, unpre: np.ndarray) -> None:
+    for row in rows:
+        np.fft.ifft(row, out=row)
+        row *= unpre
+
+
 def _inverse(plan: SaftPlan, rows: np.ndarray) -> np.ndarray:
     """The inverse step, in place: each row becomes ifft(row) * conj(pre).
 
-    rows is one spectrum in FFT order or a (k, N) array of them.
+    rows is one spectrum in FFT order or a (k, N) array of them.  With at
+    least two rows and N >= SPLIT_MIN_POINTS, the rows are cut into
+    min(CPUs, k) contiguous parts: the calling thread inverts the first
+    and one helper thread each of the others.  Each row gets the same
+    calls either way, so the output does not depend on the split.  Each
+    helper keeps its own malloc arena holding pocketfft's scratch buffer,
+    so peak memory rises with the CPU count.
     """
     unpre = np.conjugate(plan.pre)
-    for row in np.atleast_2d(rows):
-        np.multiply(np.fft.ifft(row), unpre, out=row)
+    table = np.atleast_2d(rows)
+    parts = min(_cpus(), len(table))
+    if parts < 2 or table.shape[1] < SPLIT_MIN_POINTS:
+        _invert_rows(table, unpre)
+        return rows
+    from concurrent.futures import ThreadPoolExecutor
+    first, *rest = np.array_split(table, parts)
+    with ThreadPoolExecutor(len(rest)) as pool:
+        helpers = [pool.submit(_invert_rows, part, unpre) for part in rest]
+        _invert_rows(first, unpre)
+    for helper in helpers:
+        helper.result()
     return rows
 
 
@@ -210,8 +251,9 @@ def project_ranges(plan: SaftPlan, f: Signal, ranges) -> list[Signal]:
     with mask_i the indicator of its ranges.  post cancels between
     transform and inverse, so block i is the inverse step of mask_i times
     the forward step, the ranges mirrored into FFT order when b < 0.  The
-    blocks' samples are the rows of one (blocks, N) array, inverted row by
-    row.
+    blocks' samples are the rows of one (blocks, N) array, inverted in
+    place by one _inverse call, which splits the rows across CPUs from
+    SPLIT_MIN_POINTS on.
     """
     raw = _forward(plan, f)
     n = plan.grid.count

@@ -137,17 +137,20 @@ def decay_constant(m: SymbolSpec, omegas) -> float:
     return float(np.max(np.abs(m.derivative(w)) * np.abs(w), initial=0.0))
 
 
-def hormander_scale_invariance(m: SymbolSpec, b: float, omegas) -> tuple[float, float]:
-    """Decay constants of m and of the rescaled symbol m(b .), on matched grids.
+def derivative_defect(m: SymbolSpec, omegas) -> float:
+    """Largest |w| |m'(w) - (m(w + h) - m(w - h)) / 2h| over the nonzero
+    omegas, h = 1e-6 max(1e-3, |w|), relative to decay_constant(m, omegas).
 
-    The rescaled symbol is probed at w/b so the two suprema coincide
-    exactly: |b m'(b x)| |x| at x = w/b equals |m'(w)| |w|.
+    m.derivative and m.value are separate formulas, so a sign or factor
+    error in the derivative shows here at O(1).
     """
     w = np.asarray(omegas, dtype=float)
     w = w[w != 0]
-    x = w / b
-    c2 = float(np.max(np.abs(b * m.derivative(b * x)) * np.abs(x), initial=0.0))
-    return decay_constant(m, w), c2
+    h = 1e-6 * np.maximum(1e-3, np.abs(w))
+    diff = (m.value(w + h) - m.value(w - h)) / (2.0 * h)
+    err = float(np.max(np.abs(m.derivative(w) - diff) * np.abs(w), initial=0.0))
+    c = decay_constant(m, w)
+    return err / c if c else err
 
 
 def norm_ratios(op, rs: tuple[float, ...],

@@ -29,7 +29,7 @@ from .families import (bandlimited_family, covered_family,
                        gaussian_mixture_family, raised_cosine_bump)
 from .grid import (Grid, Signal, centered_grid, indicator, inner_product,
                    lr_norm, sample, spectrum_norm)
-from .multipliers import (LPBank, apply_multiplier, hormander_scale_invariance,
+from .multipliers import (LPBank, apply_multiplier, derivative_defect,
                           imaginary_power, lp_project, norm_ratios,
                           square_function)
 from .operators import (a_translate, a_translate_commute_check,
@@ -446,13 +446,14 @@ def tier3(params: SaftParams, size: int, seed: int,
     stable = all(max(v) / min(v) <= 2.0 for v in ratios)
     worst = max(max(v) for v in ratios)
     g = centered_grid(HALF_WIDTH, 512)
-    c1, c2 = hormander_scale_invariance(
-        sym, params.b, dft_frequencies(g) * params.b)
-    ok = worst <= 10.0 and stable and abs(c1 - c2) <= 1e-9
+    # the defect reads 1.9e-10 to 2.8e-10 on the CI sets and 2.0 with the
+    # derivative's sign flipped
+    defect = derivative_defect(sym, dft_frequencies(g) * params.b)
+    ok = worst <= 10.0 and stable and defect <= 1e-8
     checks.append(_result("T3.23", "bounded-symbol probe: max ratio "
                           f"{worst:.4f} (<=10), stable under N doubling, "
-                          f"scale-invariant decay constant (|dC|={abs(c1 - c2):.1e})",
-                          10.0, worst, ok))
+                          "derivative against central differences "
+                          f"(defect {defect:.1e} <= 1e-8)", 10.0, worst, ok))
 
     by_size = []
     for n in sizes:

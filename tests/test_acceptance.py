@@ -35,7 +35,7 @@ CRITERIA = {
     20: ("T2.20", "high-frequency decay with doubled resolution"),
     21: ("T2.21", "weight transport within 1% for ell in {0,1,2}"),
     22: ("T2.22", "window independence ratios inside the fixed band"),
-    23: ("T3.23", "bounded-symbol probe <= 10, stable, scale-invariant"),
+    23: ("T3.23", "bounded-symbol probe <= 10, stable, derivative consistent"),
     24: ("T3.24", "square-function ratios positive and 2x-stable"),
     25: ("T3.25", "O(N log N) vs O(N^2) timing signature"),
 }

@@ -539,7 +539,7 @@ def test_cli_negative_first_param_with_equals(signal_file, tmp_path):
 
 
 PROBE_LINES = {
-    "hormander": "max ratio=1.028869 C_est=1.000000 scale dC=0.00e+00",
+    "hormander": "max ratio=1.028869 C_est=1.000000 deriv defect=1.97e-10",
     "lp": "min ratio=0.871866 max ratio=0.995032",
 }
 

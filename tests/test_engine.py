@@ -1,5 +1,7 @@
+import concurrent.futures
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -372,6 +374,76 @@ def test_project_ranges_matches_spelled_out_path(p, grid):
                                        mask * saft_fast(plan, f).samples), mode)
             assert blk.mode == mode and blk.grid == grid
             assert np.max(np.abs(blk.samples - ref.samples)) <= 1e-12 * np.max(np.abs(f.samples))
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        _CountingExecutor.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p", (GENERIC, make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1)),
+                         ids=("generic", "neg_b"))
+@pytest.mark.parametrize("grid", (centered_grid(10.0, 2 ** 14),
+                                  Grid(-3.7, 0.0005, 2 ** 14 + 1)),
+                         ids=("even", "odd_noncentered"))
+def test_split_inverse_matches_rows_inverted_alone(p, grid, monkeypatch):
+    # three CPUs on four rows: parts of two, one and one rows
+    monkeypatch.setattr(engine, "_cpus", lambda: 3)
+    monkeypatch.setattr(_CountingExecutor, "submitted", 0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingExecutor)
+    plan = make_plan(p, grid)
+    n = grid.count
+    ranges = ([(0, n)], [], [(0, 1), (n - 1, n)], [(3, 4000), (9000, 9001)])
+    f = _noise(grid, 41)
+    blocks = project_ranges(plan, f, ranges)
+    assert _CountingExecutor.submitted == 2
+    raw = engine._forward(plan, f)
+    for spans, blk in zip(ranges, blocks):
+        mask = np.zeros(n, dtype=bool)
+        for lo, hi in spans:
+            mask[lo:hi] = True
+        row = np.where(mask[::-1] if plan.flip else mask, raw, 0)
+        assert blk.samples.tobytes() == engine._inverse(plan, row).tobytes()
+
+
+def test_split_inverse_reraises_a_helper_error(monkeypatch):
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    plan = make_plan(GENERIC, centered_grid(10.0, 2 ** 14))
+    rows = np.ones((3, 2 ** 14), dtype=complex)
+    rows.flags.writeable = False
+    with pytest.raises(ValueError):
+        engine._inverse(plan, rows)
+
+    invert_rows = engine._invert_rows
+
+    def fail_off_the_calling_thread(rows, unpre):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        invert_rows(rows, unpre)
+
+    monkeypatch.setattr(engine, "_invert_rows", fail_off_the_calling_thread)
+    with pytest.raises(RuntimeError, match="helper failed"):
+        engine._inverse(plan, np.ones((3, 2 ** 14), dtype=complex))
+
+
+def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(engine, "_cpus", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    small = centered_grid(10.0, engine.SPLIT_MIN_POINTS // 2)
+    plan = make_plan(GENERIC, small)
+    project_ranges(plan, _noise(small, 42), [[(0, 9)], [(9, 99)], [(99, 999)]])
+    large = centered_grid(10.0, engine.SPLIT_MIN_POINTS)
+    plan = make_plan(GENERIC, large)
+    f = _noise(large, 43)
+    project_ranges(plan, f, [[(0, 99)]])
+    isaft(plan, saft_fast(plan, f))
+    apply_symbol(plan, f, np.ones(large.count))
 
 
 def test_project_ranges_rejects_a_plan_for_another_grid():

@@ -5,9 +5,9 @@ from saftkit.engine import apply_symbol, heat_evolve, make_plan, saft_fast, isaf
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, inner_product,
                           lr_norm)
 from saftkit.aconv import aconv_fast
-from saftkit.multipliers import (LPBank, apply_multiplier, decay_constant,
-                                 dyadic_bump, hormander_scale_invariance,
-                                 imaginary_power, indicator_symbol,
+from saftkit.multipliers import (LPBank, SymbolSpec, apply_multiplier,
+                                 decay_constant, derivative_defect,
+                                 dyadic_bump, imaginary_power, indicator_symbol,
                                  indicator_union, lp_project, norm_ratios,
                                  smoothed_sign, square_function)
 from saftkit.operators import a_translate, a_translate_commute_check
@@ -62,11 +62,17 @@ def test_hormander_constant_smoothed_sign_finite():
     assert np.isfinite(c_est) and 0 < c_est < 1.0
 
 
-def test_hormander_scale_invariance():
+class _FlippedDerivative(SymbolSpec):
+    def derivative(self, omega):
+        return -super().derivative(omega)
+
+
+def test_derivative_defect_separates_right_and_wrong_derivatives():
     w = np.linspace(-30, 30, 601)
-    for sym in (imaginary_power(1.0), smoothed_sign(2.0)):
-        c1, c2 = hormander_scale_invariance(sym, GENERIC.b, w)
-        assert abs(c1 - c2) <= 1e-9
+    for sym in (imaginary_power(1.0), smoothed_sign(2.0), dyadic_bump(2)):
+        assert derivative_defect(sym, w) <= 1e-8
+        flipped = _FlippedDerivative(sym.kind, sym.alpha, sym.scale, sym.level)
+        assert derivative_defect(flipped, w) >= 1.0
 
 
 def test_identity_symbol_roundtrip():
@@ -111,7 +117,6 @@ def test_heat_multiplier_cross_check():
 
 
 def test_multiplier_rejects_nonfinite_symbol():
-    from saftkit.multipliers import SymbolSpec
     grid = centered_grid(10.0, 64)
     f = gaussian_mixture_family(grid, 1, 83)[0]
     bad = SymbolSpec("smoothed_sign", scale=0.0)  # nan at the DC bin
