@@ -226,34 +226,52 @@ def _require_same_grid(f: Signal, g: Signal):
 # Spectrum JSON embeds the parameter object alongside the same layout, plus
 # "time_start", the origin of the source time grid, when the spectrum
 # knows it.  CSV alternative: rows "t,re,im" with a uniform t column.
+# Every file the package writes goes through save_json or save_columns_csv,
+# which hand float64 arrays to orjson whole: each value is written as the
+# shortest decimal that reads back to the same double, in compact JSON,
+# and non-finite values are refused, since JSON has no token for them.
 # The loaders reject non-finite samples and grid values, and raise
-# InputError on any file they cannot parse.  Every file the
-# package writes goes through save_json or save_columns_csv.
+# InputError on any file they cannot parse.  orjson is imported inside the
+# I/O functions: its import takes milliseconds, which a process that reads
+# and writes no file need not pay.
 
-def _pairs(arr: np.ndarray) -> list:
-    """[[re, im], ...] as Python floats."""
-    return np.column_stack((arr.real, arr.imag)).tolist()
+def _pairs(arr: np.ndarray) -> np.ndarray:
+    """The C-contiguous (N, 2) float64 array of [re, im] rows; rejects
+    non-finite samples."""
+    _finite_samples(arr)
+    return np.column_stack((arr.real, arr.imag))
 
 
 def _finite_samples(arr: np.ndarray) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(arr))
+    """arr, once every sample is finite; a sample of a 2-D arr is a row."""
+    ok = np.isfinite(arr)
+    bad = np.flatnonzero(~(ok.all(axis=1) if arr.ndim == 2 else ok))
     if bad.size:
-        raise InputError(f"sample {bad[0]} of {arr.size} is not finite: {arr[bad[0]]}")
+        raise InputError(f"sample {bad[0]} of {len(arr)} is not finite: {arr[bad[0]]}")
     return arr
 
 
 def _from_pairs(pairs) -> np.ndarray:
+    """Complex samples from [[re, im], ...]; JSON true and false read as 1 and 0."""
     try:
-        arr = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError):
-        raise InputError("samples must be a list of [re, im] number pairs") from None
-    return _finite_samples(arr)
+        arr = np.array(pairs)
+        if arr.dtype == object and all(isinstance(x, (int, float)) for x in arr.flat):
+            arr = arr.astype(float)  # integers past 64 bits, as json reads them
+    except OverflowError:
+        raise InputError("samples must lie within the float range") from None
+    except ValueError:  # ragged, so refused below
+        arr = np.array(None)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("samples must be a list of [re, im] number pairs")
+    return _finite_samples(np.ascontiguousarray(arr, dtype=float).view(complex)[:, 0])
 
 
 def _finite(value, what: str) -> float:
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a finite number, got {value!r}") from None
     if not np.isfinite(x):
         raise InputError(f"{what} must be a finite number, got {x}")
@@ -302,22 +320,33 @@ def spectrum_from_dict(obj: dict) -> Spectrum:
 
 
 def save_json(obj, path: str):
-    """Write obj as JSON; json.dumps uses the C encoder, json.dump does not."""
-    text = json.dumps(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write obj as compact JSON; numpy arrays nest as lists, every float as
+    the shortest decimal that reads back to the same double."""
+    import orjson
+
+    data = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def save_columns_csv(path: str, header, columns):
-    """CSV with one row per index: the repr of each column's float there.
+    """CSV with one row per index, each column's float there written as the
+    shortest decimal that reads back to the same double, "\r\n" line ends.
 
-    No columns gives the header alone.
+    Rejects a row holding a non-finite value.  No columns gives the header alone.
     """
+    import orjson
+
+    body = b""
+    if columns:
+        rows = _finite_samples(np.column_stack([np.asarray(c, dtype=float)
+                                                for c in columns]))
+        if len(rows):
+            text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
+            body = text[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist())
-                          for c in columns)))
+        csv.writer(fh).writerow(header)
+        fh.write(body.decode("ascii"))
 
 
 def save_signal(f: Signal, path: str):
@@ -325,11 +354,20 @@ def save_signal(f: Signal, path: str):
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InputError(str(exc)) from None
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    # json reads the NaN and Infinity tokens that older files hold, and its
+    # messages name what neither parser accepts
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(str(exc)) from None
 
 
 def load_signal(path: str) -> Signal:

@@ -102,7 +102,12 @@ def test_cli_isaft_centres_a_spectrum_without_origin(signal_file, tmp_path):
      "start must be a finite number"),
     ({"start": 0.0, "step": [1], "samples": [[1.0, 0.0], [0.5, 0.0]]},
      "step must be a finite number"),
-), ids=("one-sample", "nan-sample", "no-step", "null-start", "list-step"))
+    ({"start": 0.0, "step": 0.1, "samples": [[10 ** 400, 0], [1, 0]]},
+     "samples must lie within the float range"),
+    ({"start": -10 ** 400, "step": 0.1, "samples": [[1.0, 0.0], [0.5, 0.0]]},
+     "start must be a finite number"),
+), ids=("one-sample", "nan-sample", "no-step", "null-start", "list-step",
+        "huge-int-sample", "huge-int-start"))
 def test_cli_bad_input_exits_2_with_one_line(obj, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -212,6 +217,8 @@ BAD_INPUTS = {
                              "--out", "OUT"],
     "lp-jmin-alone": ["lp", "--jmin", "1", "--in", "GOOD", "--out", "OUT"],
     "lp-jmax-alone": ["lp", "--jmax", "1", "--in", "GOOD", "--out", "OUT"],
+    "op-nan-output-json": ["op", "--chirp", "1e308", "--in", "GOOD", "--out", "OUT"],
+    "op-nan-output-csv": ["op", "--chirp", "1e308", "--in", "GOOD", "--out", "CSV"],
 }
 
 
@@ -228,6 +235,7 @@ def bad_input_files(tmp_path):
              "TINY": write("tiny.json", Grid(-2.0, 1.0, 4)),
              "SPEC": str(tmp_path / "F.json"),
              "OUT": str(tmp_path / "out.json"),
+             "CSV": str(tmp_path / "out.csv"),
              "NODIR": str(tmp_path / "missing" / "out.json")}
     assert main(["saft", "--in", files["GOOD"], "--out", files["SPEC"]]) == 0
     return files
@@ -246,6 +254,7 @@ def test_cli_bad_input_exits_2_with_one_error_line(argv, bad_input_files, capsys
     assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
     assert by_argparse or len(lines) == 1
     assert not os.path.exists(bad_input_files["OUT"])
+    assert not os.path.exists(bad_input_files["CSV"])
 
 
 def test_cli_young_failed_inequality_exits_1(signal_file, monkeypatch, capsys):

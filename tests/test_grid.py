@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from saftkit.engine import make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
                           impulse, indicator, inner_product, load_signal,
-                          near_integer,
+                          load_spectrum, near_integer,
                           load_signal_csv, lr_norm, sample, save_columns_csv,
                           save_json, save_signal, save_signal_csv,
                           signal_from_dict, signal_to_dict, spectrum_from_dict,
@@ -145,22 +146,29 @@ def test_signal_json_roundtrip(tmp_path):
     assert back.grid == f.grid
 
 
-def test_signal_dict_format():
+def test_signal_dict_format(tmp_path):
     g = Grid(0.0, 0.5, 2)
     d = signal_to_dict(Signal(g, np.array([1 + 2j, 3 - 4j])))
-    assert d["samples"] == [[1.0, 2.0], [3.0, -4.0]]
+    assert d["samples"].tolist() == [[1.0, 2.0], [3.0, -4.0]]
     assert set(d) == {"start", "step", "mode", "samples"}
-    f = signal_from_dict(json.loads(json.dumps(d)))
-    assert np.allclose(f.samples, [1 + 2j, 3 - 4j])
+    path = tmp_path / "f.json"
+    save_json(d, str(path))
+    assert path.read_bytes() == (b'{"start":0.0,"step":0.5,"mode":"compact",'
+                                 b'"samples":[[1.0,2.0],[3.0,-4.0]]}')
+    f = load_signal(str(path))
+    assert np.array_equal(f.samples, [1 + 2j, 3 - 4j]) and f.grid == g
 
 
-def test_spectrum_dict_roundtrip():
+def test_spectrum_dict_roundtrip(tmp_path):
     p = make_params(1, 2, -2, -3, 0.3, -0.2)
     g = centered_grid(4.0, 64)
     F = saft_fast(make_plan(p, g), sample(lambda t: np.exp(-t * t), g))
-    back = spectrum_from_dict(json.loads(json.dumps(spectrum_to_dict(F))))
+    path = tmp_path / "F.json"
+    save_json(spectrum_to_dict(F), str(path))
+    back = load_spectrum(str(path))
     assert back.params == p
-    assert np.allclose(back.samples, F.samples)
+    assert back.samples.tobytes() == F.samples.tobytes()
+    assert back.freq_grid == F.freq_grid
     assert back.time_start == g.start
 
 
@@ -196,6 +204,18 @@ def test_loaders_reject_non_finite_samples(bad, tmp_path):
     with pytest.raises(ValueError, match="params b must be a finite number"):
         spectrum_from_dict({"params": {**fourier_params().as_dict(), "b": bad},
                             "start": 0.0, "step": 0.1, "samples": pairs[::2]})
+    # the NaN and Infinity tokens that json.dumps writes
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"start": 0.0, "step": 0.1, "samples": pairs}))
+    with pytest.raises(InputError, match="sample 1 of 3 is not finite"):
+        load_signal(str(path))
+    path.write_text(json.dumps({"params": fourier_params().as_dict(), "start": 0.0,
+                                "step": 0.1, "samples": pairs}))
+    with pytest.raises(InputError, match="sample 1 of 3 is not finite"):
+        load_spectrum(str(path))
+    path.write_text(json.dumps({"start": 0.0, "step": bad, "samples": pairs[::2]}))
+    with pytest.raises(InputError, match="step must be a finite number"):
+        load_signal(str(path))
     path = tmp_path / "bad.csv"
     path.write_text(f"t,re,im\n0.0,1,0\n0.1,{bad},0\n0.2,1,0\n")
     with pytest.raises(ValueError, match="sample 1 of 3 is not finite"):
@@ -214,22 +234,44 @@ def test_signal_csv_roundtrip(tmp_path):
 
 EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
                         1e300, -1.7976931348623157e308, 1 / 3, -7.0])
+# set part by part: complex arithmetic would turn some -0.0 parts into 0.0
+EDGE_SAMPLES = np.empty(EDGE_VALUES.size, dtype=complex)
+EDGE_SAMPLES.real, EDGE_SAMPLES.imag = EDGE_VALUES, -EDGE_VALUES[::-1]
 
 
-def test_pairs_match_the_per_element_writer():
+def test_pairs_hold_each_sample_bit_for_bit():
     rng = np.random.default_rng(3)
     for z in (EDGE_VALUES + 1j * EDGE_VALUES[::-1],
               rng.standard_normal(64) * 1e300 + 1j * rng.standard_normal(64) * 1e-310,
               np.array([], dtype=complex)):
-        ref = [[float(v.real), float(v.imag)] for v in z]
+        ref = np.array([[float(v.real), float(v.imag)] for v in z]).reshape(-1, 2)
         got = _pairs(z)
-        # repr tells -0.0 from 0.0 and shows every digit
-        assert repr(got) == repr(ref)
-        assert all(type(x) is float for row in got for x in row)
-        assert json.dumps(got) == json.dumps(ref)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        # tobytes tells -0.0 from 0.0
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def test_save_json_writes_the_bytes_of_json_dump(tmp_path):
+def _old_writer_text(obj) -> str:
+    """The text json.dumps wrote before the arrays: ", " separators and
+    repr floats, NaN and Infinity for non-finite values."""
+    return json.dumps(obj, default=lambda a: a.tolist())
+
+
+def _values(doc):
+    """The JSON document with every number as the bytes of its double, so
+    that equality is bit for bit."""
+    if isinstance(doc, dict):
+        return {k: _values(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_values(v) for v in doc]
+    if isinstance(doc, float):
+        return np.float64(doc).tobytes()
+    return doc
+
+
+def test_save_json_reads_back_bit_for_bit(tmp_path):
+    import orjson
+
     p = make_params(1, -2, 2, -3, 0.3, -0.2)
     edges = Signal(Grid(-1.5, 0.25, EDGE_VALUES.size),
                    EDGE_VALUES - 1j * EDGE_VALUES[::-1], "cyclic")
@@ -243,20 +285,90 @@ def test_save_json_writes_the_bytes_of_json_dump(tmp_path):
     for name, obj in objs.items():
         path = tmp_path / f"{name}.json"
         save_json(obj, str(path))
-        ref = tmp_path / f"{name}-ref.json"
-        with open(ref, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        assert path.read_bytes() == ref.read_bytes(), name
+        data = path.read_bytes()
+        ref = _values(json.loads(_old_writer_text(obj)))
+        assert _values(json.loads(data)) == ref, name
+        assert _values(orjson.loads(data)) == ref, name
+        assert b", " not in data and b": " not in data, name
+    doc = orjson.loads((tmp_path / "tf.json").read_bytes())
+    assert np.array(doc["values"]).tobytes() == objs["tf"]["values"].tobytes()
 
 
-def test_signal_csv_text_matches_hand_written_rows(tmp_path):
+def test_files_from_the_old_writers_load_bit_for_bit(tmp_path):
+    p = make_params(1, -2, 2, -3, 0.3, -0.2)
+    f = Signal(Grid(-1.5, 0.25, EDGE_VALUES.size), EDGE_SAMPLES, "cyclic")
+    F = Spectrum(p, Grid(-2.0, 0.5, EDGE_VALUES.size), EDGE_SAMPLES[::-1], 0.125)
+    (tmp_path / "f.json").write_text(_old_writer_text(signal_to_dict(f)))
+    (tmp_path / "F.json").write_text(_old_writer_text(spectrum_to_dict(F)))
+    with open(tmp_path / "f.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "re", "im"])
+        w.writerows([repr(x), repr(z.real), repr(z.imag)]
+                    for x, z in zip(f.grid.nodes().tolist(), f.samples.tolist()))
+    back = load_signal(str(tmp_path / "f.json"))
+    assert back.samples.tobytes() == f.samples.tobytes()
+    assert back.grid == f.grid and back.mode == "cyclic"
+    G = load_spectrum(str(tmp_path / "F.json"))
+    assert G.samples.tobytes() == F.samples.tobytes()
+    assert (G.params, G.freq_grid, G.time_start) == (p, F.freq_grid, 0.125)
+    back = load_signal_csv(str(tmp_path / "f.csv"))
+    assert back.samples.tobytes() == f.samples.tobytes()
+    assert back.grid.start == f.grid.start and back.grid.count == f.grid.count
+
+
+@pytest.mark.parametrize("samples, message", (
+    ([[True, 0.5], [False, -1]], None),
+    ([[1, 0], [1, 0, 0]], "samples must be a list of \\[re, im\\] number pairs"),
+    ([[1, 0], ["2", 0]], "samples must be a list of \\[re, im\\] number pairs"),
+    ([[1, 0], [None, 0]], "samples must be a list of \\[re, im\\] number pairs"),
+    ([1.0, 2.0], "samples must be a list of \\[re, im\\] number pairs"),
+    ([[]], "samples must be a list of \\[re, im\\] number pairs"),
+    ([], "grid needs at least two nodes"),
+    ([[10 ** 400, 0], [1, 0]], "samples must lie within the float range"),
+), ids=("booleans", "ragged", "string", "null", "flat", "empty-pair", "empty",
+        "huge-int"))
+def test_signal_loader_sample_rules(samples, message, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"start": 0.0, "step": 0.5, "samples": samples}))
+    if message is None:
+        assert load_signal(str(path)).samples.tolist() == [1 + 0.5j, -1j]
+        return
+    with pytest.raises(InputError, match=message):
+        load_signal(str(path))
+
+
+def test_signal_csv_layout_holds_each_value_bit_for_bit(tmp_path):
     g = Grid(-1.5, 0.1, EDGE_VALUES.size)
     f = Signal(g, EDGE_VALUES[::-1] - 1j * EDGE_VALUES)
     path = tmp_path / "f.csv"
     save_signal_csv(f, str(path))
-    rows = ["t,re,im"] + [f"{float(x)!r},{float(z.real)!r},{float(z.imag)!r}"
-                          for x, z in zip(g.nodes(), f.samples)]
-    assert path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+    data = path.read_bytes()
+    assert data.startswith(b"t,re,im\r\n") and data.endswith(b"\r\n")
+    lines = data.decode().split("\r\n")[1:-1]
+    assert "\n" not in "".join(lines) and len(lines) == g.count
+    rows = [line.split(",") for line in lines]
+    assert all(len(row) == 3 for row in rows)
+    got = np.array([[float(x) for x in row] for row in rows])
+    ref = np.column_stack((g.nodes(), f.samples.real, f.samples.imag))
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("where", (1, 6))
+def test_writers_reject_non_finite_samples(where, tmp_path):
+    g = Grid(-1.5, 0.25, 8)
+    for bad in (np.nan, np.inf, -np.inf):
+        z = np.ones(g.count, dtype=complex)
+        z[where] = complex(1.0, bad) if where % 2 else complex(bad, 0.0)
+        f = Signal(g, z, "cyclic")
+        message = f"^sample {where} of 8 is not finite"
+        for save, name in ((save_signal, "f.json"), (save_signal_csv, "f.csv")):
+            with pytest.raises(InputError, match=message):
+                save(f, str(tmp_path / name))
+        V = stft(f.with_samples(np.ones(g.count)), gaussian_window(g))
+        V.values[0, where] = bad
+        with pytest.raises(InputError, match=f"^sample {where} of 64 is not finite"):
+            save_json(tf_to_dict(V), str(tmp_path / "V.json"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_columns_csv_without_columns_is_the_header(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saftkit.engine import dft_frequencies, make_plan, saft_fast
-from saftkit.grid import Grid, Signal, centered_grid, lr_norm, sample
+from saftkit.grid import (Grid, Signal, centered_grid, lr_norm, sample,
+                          save_json)
 from saftkit.operators import chirp
 from saftkit.params import (InputError, fourier_params, freq_scaled_weight,
                             frft_params, make_params, radial_weight,
@@ -497,13 +498,16 @@ def test_window_flip_is_conjugate_reversal():
                        np.conj(g.samples[[0, 7, 6, 5, 4, 3, 2, 1]]))
 
 
-def test_tf_matrix_serialization_roundtrip():
+def test_tf_matrix_serialization_roundtrip(tmp_path):
     grid = centered_grid(4.0, 32)
     f = gaussian_mixture_family(grid, 1, 77)[0]
     V = stft(f, gaussian_window(grid), window_id="gaussian")
-    obj = json.loads(json.dumps(tf_to_dict(V)))
-    values = np.array(obj["values"]) @ [1, 1j]
-    assert np.array_equal(values.reshape(obj["x_count"], obj["w_count"]), V.values)
+    path = tmp_path / "V.json"
+    save_json(tf_to_dict(V), str(path))
+    obj = json.loads(path.read_bytes())
+    values = np.array(obj["values"]).view(complex)[:, 0]
+    assert values.tobytes() == V.values.tobytes()
+    assert values.size == obj["x_count"] * obj["w_count"]
     assert Grid(obj["x_start"], obj["x_step"], obj["x_count"]) == V.x_grid
     assert Grid(obj["w_start"], obj["w_step"], obj["w_count"]) == V.w_grid
     assert obj["window_id"] == "gaussian"
