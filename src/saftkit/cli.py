@@ -4,13 +4,17 @@ Every subcommand is a thin shell over library operations: no numerical
 logic, file format or input precondition lives here.  Exit codes: 0
 success, 1 a check failed (`verify`, `young`), 2 bad input or usage.
 `main` turns the library's InputError, or an OSError on a named file,
-into one `saftkit CMD: error: FILE: MESSAGE` line on stderr; any other
-exception is a fault of the program and keeps its traceback.
+into one `saftkit CMD: error: FILE: MESSAGE` line on stderr, where FILE is
+the --in file unless the error arose reading or writing another one; any
+other exception is a fault of the program and keeps its traceback.  numpy's
+floating-point warnings are off: a non-finite result fails the finite check
+of the writer or norm that meets it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -121,18 +125,28 @@ def _read_signal(path: str, mode: str | None = None) -> Signal:
     return f
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Have `main` report an InputError raised in the block under `path`
+    (by default it names the --in file)."""
+    try:
+        yield
+    except InputError as exc:
+        exc.filename = path
+        raise
+
+
 def _read_pair(paths, mode: str) -> list[Signal]:
     signals = []
     for path in paths:
-        try:
+        with _naming(path):
             signals.append(_read_signal(path, mode))
-        except InputError as exc:  # `main` names the --in file only
-            raise InputError(f"{path}: {exc}") from exc
     return signals
 
 
 def _write_signal(f: Signal, path: str):
-    (save_signal_csv if path.endswith(".csv") else save_signal)(f, path)
+    with _naming(path):
+        (save_signal_csv if path.endswith(".csv") else save_signal)(f, path)
 
 
 def _warn_cyclic_seam(command: str, params: SaftParams, f: Signal):
@@ -280,9 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # a non-finite result is reported by the check it fails, not by
+        # numpy's floating-point warnings
+        with np.errstate(all="ignore"):
+            return _run(args)
     except InputError as exc:
-        where, message = getattr(args, "infile", None), exc
+        where = getattr(exc, "filename", None) or getattr(args, "infile", None)
+        message = exc
     except OSError as exc:
         if exc.filename is None:
             raise
@@ -300,7 +318,8 @@ def _run(args) -> int:
         if args.tail_report:
             print(f"tail mass (outer 5% of window): {tail_mass(f):.3e}")
         F = saft_oracle(P, f) if args.oracle else saft(P, f)
-        save_spectrum(F, args.outfile)
+        with _naming(args.outfile):
+            save_spectrum(F, args.outfile)
         return 0
 
     if args.command == "isaft":
@@ -370,7 +389,8 @@ def _run(args) -> int:
     if args.command == "stft":
         f = _read_signal(args.infile, "cyclic")
         V = stft(f, WINDOWS[args.window](f.grid), window_id=args.window)
-        save_json(tf_to_dict(V), args.outfile)
+        with _naming(args.outfile):
+            save_json(tf_to_dict(V), args.outfile)
         return 0
 
     if args.command in ("modnorm", "amodnorm"):
@@ -398,8 +418,9 @@ def _run(args) -> int:
         elif args.square:
             _write_signal(square_function(blocks), args.outfile)
         else:
-            save_json({str(j): signal_to_dict(b)
-                       for j, b in zip(bank.levels, blocks)}, args.outfile)
+            with _naming(args.outfile):
+                save_json({str(j): signal_to_dict(b)
+                           for j, b in zip(bank.levels, blocks)}, args.outfile)
         return 0
 
     if args.command == "mult":
@@ -470,7 +491,8 @@ def _plotdata(args, P) -> int:
         columns = ([f.grid.nodes()]
                    + [_magnitude(heat_evolve(P, f, x, "multiplier").samples)
                       for x in times]) if times else []
-    save_columns_csv(args.outfile, header, columns)
+    with _naming(args.outfile):
+        save_columns_csv(args.outfile, header, columns)
     return 0
 
 

@@ -112,79 +112,72 @@ def quad_chirp(params: SaftParams, t):
 
 
 # ---------------------------------------------------------------------------
-# Weight families for modulation-space norms.  A closed enumeration (not
-# arbitrary callables) keeps norms reproducible and serializable.
+# Weights for modulation-space norms: the polynomial weight v_ell read through
+# a linear change of time-frequency variables.  A closed form (not arbitrary
+# callables) keeps norms reproducible and serializable.
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A positive weight on the time-frequency plane.
+    """The positive weight (1 + u^2 + v^2)^(ell/2) at (u, v) = M (x, w).
 
-    kinds:
-      unit         -- 1
-      radial       -- (1 + x^2 + w^2)^(ell/2)
-      transported  -- (1 + (c^2+d^2) x^2 + (a^2+b^2) w^2 - 2(ac+bd) x w)^(ell/2),
-                      the radial weight pulled back through the phase-space map
-      freq_scaled  -- inner(x, b*w)
-      sheared      -- inner(x, w - s*x)
+    m holds the 2x2 matrix M row by row, (m00, m01, m10, m11).  M = I is the
+    radial weight v_ell; M = A^{-1} = ((d, -b), (-c, a)) transports it
+    through the phase-space map, giving
+    (1 + (c^2+d^2) x^2 + (a^2+b^2) w^2 - 2(ac+bd) x w)^(ell/2).  Reading a
+    weight at (x, b w) or (x, w - s x) right-multiplies M by diag(1, b) or
+    ((1, 0), (-s, 1)).
     """
 
-    kind: str
     ell: float = 0.0
-    params: SaftParams | None = None
-    inner: "WeightSpec | None" = None
-    scale: float = 0.0
+    m: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.kind not in ("unit", "radial", "transported", "freq_scaled", "sheared"):
-            raise InputError(f"unknown weight kind: {self.kind!r}")
-        if self.kind in ("radial", "transported") and not self.ell >= 0:
+        if not self.ell >= 0:
             raise InputError("weight exponent must be >= 0")
-        if self.kind == "transported" and self.params is None:
-            raise InputError("transported weight needs a parameter set")
-        if self.kind in ("freq_scaled", "sheared") and self.inner is None:
-            raise InputError(f"{self.kind} weight needs an inner weight")
+        if len(self.m) != 4 or not all(math.isfinite(v) for v in self.m):
+            raise InputError(f"weight matrix needs four finite entries: {self.m!r}")
 
 
 def unit_weight() -> WeightSpec:
-    return WeightSpec("unit")
+    return WeightSpec()
 
 
 def radial_weight(ell: float) -> WeightSpec:
-    return WeightSpec("radial", ell=float(ell))
+    return WeightSpec(float(ell))
 
 
 def transported_weight(ell: float, params: SaftParams) -> WeightSpec:
-    return WeightSpec("transported", ell=float(ell), params=params)
+    return WeightSpec(float(ell), (params.d, -params.b, -params.c, params.a))
 
 
 def freq_scaled_weight(inner: WeightSpec, b: float) -> WeightSpec:
-    return WeightSpec("freq_scaled", inner=inner, scale=float(b))
+    m00, m01, m10, m11 = inner.m
+    return WeightSpec(inner.ell, (m00, m01 * b, m10, m11 * b))
 
 
 def sheared_weight(inner: WeightSpec, s: float) -> WeightSpec:
-    return WeightSpec("sheared", inner=inner, scale=float(s))
+    m00, m01, m10, m11 = inner.m
+    return WeightSpec(inner.ell, (m00 - s * m01, m01, m10 - s * m11, m11))
 
 
 def weight_eval(w: WeightSpec, x, omega):
     """Evaluate the weight at (x, omega); accepts scalars or broadcastable arrays.
 
-    The unit weight, and a radial or transported one with ell = 0, comes back
-    as a read-only broadcast view of 1.0.
+    A product with a zero matrix entry is skipped, so a row of M with one
+    nonzero entry keeps the shape of x or omega.  Every weight with ell = 0
+    comes back as a read-only broadcast view of 1.0.
     """
     x = np.asarray(x, dtype=float)
     om = np.asarray(omega, dtype=float)
-    if w.kind == "unit" or (w.kind in ("radial", "transported") and w.ell == 0):
+    if w.ell == 0:
         return np.broadcast_to(1.0, np.broadcast(x, om).shape)
-    if w.kind == "radial":
-        return (1.0 + x * x + om * om) ** (w.ell / 2.0)
-    if w.kind == "transported":
-        pr = w.params
-        quad = ((pr.c * pr.c + pr.d * pr.d) * x * x
-                + (pr.a * pr.a + pr.b * pr.b) * om * om
-                - 2.0 * (pr.a * pr.c + pr.b * pr.d) * x * om)
-        return (1.0 + quad) ** (w.ell / 2.0)
-    if w.kind == "freq_scaled":
-        return weight_eval(w.inner, x, w.scale * om)
-    if w.kind == "sheared":
-        return weight_eval(w.inner, x, om - w.scale * x)
-    raise AssertionError(w.kind)
+    quad = 1.0
+    for p, q in (w.m[:2], w.m[2:]):
+        if p == 0.0:
+            u = q * om
+        elif q == 0.0:
+            u = p * x
+        else:
+            u = p * x + q * om
+        quad = quad + u * u
+    return quad ** (w.ell / 2.0)

@@ -30,12 +30,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .aconv import aconv_fast
-from .engine import dft_frequencies, saft
+from .engine import dft_frequencies, natural_freqs, saft, spectrum_grid
 from .grid import (Grid, Signal, _pairs, _require_same_grid, centered_grid,
                    lr_norm, near_integer, raised_cosine)
 from .operators import a_modulate, a_translate, chirp, involution
-from .params import (InputError, SaftParams, WeightSpec, pre_chirp, quad_chirp,
-                     weight_eval)
+from .params import (InputError, SaftParams, WeightSpec, fourier_params,
+                     pre_chirp, quad_chirp, weight_eval)
 
 # stft returns a dense N x N complex table: 256 MiB at this limit.  The
 # norms never build it, so the limit does not apply to them.
@@ -57,11 +57,6 @@ class TFMatrix:
     def __post_init__(self):
         if self.values.shape != (self.x_grid.count, self.w_grid.count):
             raise InputError("value matrix must match the lattice")
-
-
-def _freq_grid(grid: Grid) -> Grid:
-    """The centered DFT frequency lattice of the STFT, step 1 / (N dt)."""
-    return Grid(float(dft_frequencies(grid)[0]), 1.0 / grid.span, grid.count)
 
 
 def _stft_rows(f: Signal, g: Signal):
@@ -132,7 +127,7 @@ def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
         vals = np.empty((n, n), dtype=complex)
         for lo, block in _stft_rows(f, g):
             vals[lo:lo + len(block)] = block
-    return TFMatrix(grid, _freq_grid(grid), vals, window_id)
+    return TFMatrix(grid, spectrum_grid(fourier_params(), grid), vals, window_id)
 
 
 def window_flip(g: Signal) -> Signal:
@@ -284,8 +279,12 @@ def _check_norm_inputs(f: Signal, g: Signal, r: float, s: float):
 
 def _mixed_norm(inner: np.ndarray, dw: float, r: float, s: float) -> float:
     """(dw * sum_w inner(w)^(s/r))^(1/s), from the per-frequency sums
-    inner(w) = int |.|^r m^r dx."""
-    return float((dw * np.sum(inner ** (s / r))) ** (1.0 / s))
+    inner(w) = int |.|^r m^r dx; rejects a norm outside the float range."""
+    norm = float((dw * np.sum(inner ** (s / r))) ** (1.0 / s))
+    if not np.isfinite(norm):
+        raise InputError(f"the modulation norm with r = {r:g}, s = {s:g} is not "
+                         f"finite in floating point: {norm!r}")
+    return norm
 
 
 def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
@@ -299,7 +298,7 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     _check_norm_inputs(f, g, r, s)
     grid = f.grid
     x = grid.nodes()[:, None]
-    w = _freq_grid(grid).nodes()[None, :]
+    w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
     acc = np.zeros(grid.count)
     for lo, block in _stft_rows(f, window_flip(g)):
         mag = np.abs(block)
@@ -333,11 +332,11 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     k0 = grid.steps_of(grid.start, "cyclic convolution needs the grid origin "
                        "on the step lattice")
     x = grid.nodes()
-    omegas = params.b * dft_frequencies(grid)
+    omegas = natural_freqs(params, grid)
     qc = quad_chirp(params, x)
     U = np.fft.fft(qc * f.samples)
     G = np.fft.fft(qc * g.samples)
-    parseval = r == 2 and m.kind == "unit"
+    parseval = r == 2 and m.ell == 0
     if parseval:
         U, G = np.abs(U) ** 2 / n, np.abs(G) ** 2
     # row k reads G[(j - k + N/2) mod N]: the window of the tripled G that
@@ -374,7 +373,7 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
     _check_norm_inputs(f, g, r, s)
     grid = f.grid
     x = grid.nodes()
-    omegas = params.b * dft_frequencies(grid)
+    omegas = natural_freqs(params, grid)
     inner = np.empty(grid.count)
     for j, w in enumerate(omegas):
         conv = aconv_fast(params, f, a_modulate(g, params, w), "cyclic")

@@ -24,7 +24,7 @@ from . import bench as bench_mod
 from .aconv import aconv_fast, approx_identity_run, mult_functional, young_check
 from .engine import (isaft, make_plan, saft, saft_fast, saft_oracle,
                      sinc_reference, twisted_derivative, heat_evolve,
-                     dft_frequencies)
+                     natural_freqs)
 from .families import (bandlimited_family, covered_family,
                        gaussian_mixture_family, raised_cosine_bump)
 from .grid import (Grid, Signal, centered_grid, indicator, inner_product,
@@ -448,7 +448,7 @@ def tier3(params: SaftParams, size: int, seed: int,
     g = centered_grid(HALF_WIDTH, 512)
     # the defect reads 1.9e-10 to 2.8e-10 on the CI sets and 2.0 with the
     # derivative's sign flipped
-    defect = derivative_defect(sym, dft_frequencies(g) * params.b)
+    defect = derivative_defect(sym, natural_freqs(params, g))
     ok = worst <= 10.0 and stable and defect <= 1e-8
     checks.append(_result("T3.23", "bounded-symbol probe: max ratio "
                           f"{worst:.4f} (<=10), stable under N doubling, "

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import saftkit
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
 from saftkit.aconv import aconv_fast
 from saftkit.engine import heat_evolve, make_plan, saft_fast
@@ -12,7 +16,7 @@ from saftkit.grid import (Grid, Signal, centered_grid, load_signal,
                           load_spectrum, save_signal)
 from saftkit.multipliers import LPBank, lp_project
 from saftkit.operators import a_translate
-from saftkit.params import InputError, fourier_params, unit_weight
+from saftkit.params import InputError, WeightSpec, fourier_params, unit_weight
 from saftkit.timefreq import a_mod_norm, gaussian_window, stft
 from saftkit.verify import run_verify, standard_parameter_sets
 from saftkit.families import gaussian_mixture_family
@@ -42,9 +46,9 @@ def test_parse_symbol_variants():
 
 
 def test_parse_weight_variants():
-    assert parse_weight("unit").kind == "unit"
+    assert parse_weight("unit") == WeightSpec(0.0, (1.0, 0.0, 0.0, 1.0))
     w = parse_weight("v_ell:2")
-    assert w.kind == "radial" and w.ell == 2.0
+    assert w.ell == 2.0 and w.m == (1.0, 0.0, 0.0, 1.0)
 
 
 @pytest.fixture
@@ -219,7 +223,15 @@ BAD_INPUTS = {
     "lp-jmax-alone": ["lp", "--jmax", "1", "--in", "GOOD", "--out", "OUT"],
     "op-nan-output-json": ["op", "--chirp", "1e308", "--in", "GOOD", "--out", "OUT"],
     "op-nan-output-csv": ["op", "--chirp", "1e308", "--in", "GOOD", "--out", "CSV"],
+    "amodnorm-huge-r": ["amodnorm", "-r", "1e300", "-s", "2", "--in", "GOOD"],
+    "modnorm-huge-weight": ["modnorm", "-r", "2", "-s", "2", "--weight", "v_ell:1e300",
+                            "--in", "GOOD"],
 }
+# The file the error line names, where the case has one: an error raised
+# writing the output names --out, not the input it was computed from.
+BAD_INPUT_FILES = {"op-nan-output-json": "OUT", "op-nan-output-csv": "CSV",
+                   "amodnorm-huge-r": "GOOD", "modnorm-huge-weight": "GOOD",
+                   "modnorm-off-lattice": "HALF", "out-in-missing-dir": "NODIR"}
 
 
 @pytest.fixture
@@ -241,20 +253,47 @@ def bad_input_files(tmp_path):
     return files
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_cli_bad_input_exits_2_with_one_error_line(argv, bad_input_files, capsys):
-    argv = [bad_input_files.get(a, a) for a in argv]
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_bad_input_exits_2_with_one_error_line(case, bad_input_files, capsys):
+    argv = [bad_input_files.get(a, a) for a in BAD_INPUTS[case]]
     try:
         code, by_argparse = main(argv), False
     except SystemExit as exc:  # argparse prints its usage lines first
         code, by_argparse = exc.code, True
     lines = capsys.readouterr().err.splitlines()
     assert code == 2, lines
-    assert lines[-1].startswith(f"saftkit {argv[0]}: error: ")
+    named = bad_input_files[BAD_INPUT_FILES[case]] + ": " if case in BAD_INPUT_FILES else ""
+    assert lines[-1].startswith(f"saftkit {argv[0]}: error: {named}")
     assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
     assert by_argparse or len(lines) == 1
     assert not os.path.exists(bad_input_files["OUT"])
     assert not os.path.exists(bad_input_files["CSV"])
+
+
+@pytest.mark.parametrize("argv, named", (
+    (["op", "--chirp", "1e308", "--in", "good.json", "--out", "o.json"], "o.json"),
+    (["op", "--chirp", "1e308", "--in", "good.json", "--out", "o.csv"], "o.csv"),
+    (["amodnorm", "-r", "1e300", "-s", "2", "--in", "good.json"], "good.json"),
+    (["modnorm", "-r", "2", "-s", "2", "--weight", "v_ell:1e300", "--in", "good.json"],
+     "good.json"),
+), ids=("op-nan-output-json", "op-nan-output-csv", "amodnorm-huge-r",
+        "modnorm-huge-weight"))
+def test_cli_process_prints_one_error_line_and_no_numpy_warning(argv, named, tmp_path):
+    # pytest captures numpy's RuntimeWarnings in-process; a separate
+    # interpreter shows everything that reaches stderr
+    grid = Grid(-4.0, 0.125, 64)
+    save_signal(Signal(grid, np.exp(-grid.nodes() ** 2), "cyclic"),
+                str(tmp_path / "good.json"))
+    src = str(pathlib.Path(saftkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "saftkit.cli", *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"saftkit {argv[0]}: error: "
+                                                   f"{named}: "), run.stderr
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "o.csv").exists()
 
 
 def test_cli_young_failed_inequality_exits_1(signal_file, monkeypatch, capsys):

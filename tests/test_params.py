@@ -108,7 +108,10 @@ def test_zero_exponent_weights_are_the_unit_view():
     x = np.linspace(-3.0, 3.0, 7)[:, None]
     om = np.linspace(-2.0, 2.0, 5)[None, :]
     p = make_params(1, 2, -2, -3, 0.3, -0.2)
-    for w in (unit_weight(), radial_weight(0.0), transported_weight(0.0, p)):
+    for w in (unit_weight(), radial_weight(0.0), transported_weight(0.0, p),
+              freq_scaled_weight(radial_weight(0.0), -0.5),
+              sheared_weight(transported_weight(0.0, p), 0.7),
+              sheared_weight(freq_scaled_weight(unit_weight(), p.b), -1.3)):
         vals = weight_eval(w, x, om)
         assert vals.shape == (7, 5) and vals.strides == (0, 0)
         assert not vals.flags.writeable and np.all(vals == 1.0)
@@ -147,8 +150,74 @@ def test_weight_equivalence_eigen_bounds():
 
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
-        from saftkit.params import WeightSpec
-        WeightSpec("radial", ell=-1.0)
+        WeightSpec(-1.0)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: radial_weight(-0.5), lambda: radial_weight(float("nan")),
+    lambda: WeightSpec(1.0, (1.0, float("inf"), 0.0, 1.0)),
+    lambda: WeightSpec(1.0, (1.0, 0.0, float("nan"), 1.0)),
+    lambda: WeightSpec(1.0, (1.0, 0.0, 1.0)),
+    lambda: freq_scaled_weight(radial_weight(1.0), float("inf")),
+    lambda: sheared_weight(radial_weight(1.0), float("nan")),
+    lambda: sheared_weight(freq_scaled_weight(radial_weight(1.0), 1e200), 1e200),
+), ids=("ell-negative", "ell-nan", "m-inf", "m-nan", "m-three-entries",
+        "freq-scale-inf", "shear-nan", "m-overflow"))
+def test_weight_spec_rejects_bad_exponents_and_matrices(build):
+    with pytest.raises(InputError, match="weight exponent|weight matrix"):
+        build()
+
+
+# The closed forms of each weight family: the radial sum, the expanded
+# transported quadratic, and the pull-backs inner(x, b w), inner(x, w - s x).
+def _radial_ref(ell):
+    return lambda x, w: (1.0 + x * x + w * w) ** (ell / 2.0)
+
+
+def _transported_ref(ell, p):
+    return lambda x, w: (1.0 + (p.c ** 2 + p.d ** 2) * x * x
+                         + (p.a ** 2 + p.b ** 2) * w * w
+                         - 2.0 * (p.a * p.c + p.b * p.d) * x * w) ** (ell / 2.0)
+
+
+def _freq_scaled_ref(inner, b):
+    return lambda x, w: inner(x, b * w)
+
+
+def _sheared_ref(inner, s):
+    return lambda x, w: inner(x, w - s * x)
+
+
+def test_weight_families_match_their_closed_forms():
+    rng = np.random.default_rng(20)
+    x, om = rng.uniform(-6.0, 6.0, (2, 400))
+    cases = []
+    for p in (frft_params(0.4), make_params(1, 2, -2, -3, 0.3, -0.2),
+              make_params(1, -0.5, 0, 1, 0.2, -0.1), make_params(2, -3, 1, -1),
+              fresnel_params(-0.7)):
+        ell = float(rng.uniform(0.25, 3.0))
+        b, s, s2 = p.b, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))
+        for spec, ref in ((radial_weight(ell), _radial_ref(ell)),
+                          (transported_weight(ell, p), _transported_ref(ell, p))):
+            cases += [
+                (spec, ref),
+                (freq_scaled_weight(spec, b), _freq_scaled_ref(ref, b)),
+                (sheared_weight(spec, s), _sheared_ref(ref, s)),
+                (sheared_weight(freq_scaled_weight(spec, b), s),
+                 _sheared_ref(_freq_scaled_ref(ref, b), s)),
+                (freq_scaled_weight(sheared_weight(spec, s), b),
+                 _freq_scaled_ref(_sheared_ref(ref, s), b)),
+                (sheared_weight(sheared_weight(freq_scaled_weight(spec, -1.0 / b), s),
+                                s2),
+                 _sheared_ref(_sheared_ref(_freq_scaled_ref(ref, -1.0 / b), s), s2)),
+            ]
+    for spec, ref in cases:
+        want = ref(x, om)
+        got = weight_eval(spec, x, om)
+        assert np.max(np.abs(got - want) / want) <= 1e-13, spec
+        grid_got = weight_eval(spec, x[:20, None], om[None, :30])
+        assert grid_got.shape == (20, 30)
+        assert np.allclose(grid_got, ref(x[:20, None], om[None, :30]), rtol=1e-13, atol=0)
 
 
 def test_input_error_is_the_one_rejection_type():
@@ -156,7 +225,7 @@ def test_input_error_is_the_one_rejection_type():
     with pytest.raises(InputError, match="SAFT requires b != 0"):
         make_params(1, 0, 0, 1)
     with pytest.raises(InputError, match="weight exponent"):
-        WeightSpec("radial", ell=float("nan"))
+        WeightSpec(float("nan"))
     # cli.py's argparse types raise ValueError, which argparse reports itself
     package = pathlib.Path(saftkit.__file__).parent
     assert not [path.name for path in package.glob("*.py") if path.name != "cli.py"

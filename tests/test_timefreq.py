@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saftkit.engine import dft_frequencies, make_plan, saft_fast
+from saftkit.engine import dft_frequencies, make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, centered_grid, lr_norm, sample,
                           save_json)
 from saftkit.operators import chirp
@@ -85,6 +85,19 @@ def test_stft_matches_direct_quadrature(mode, n, origin):
     assert V.x_grid == grid
     assert np.allclose(V.w_grid.nodes(), dft_frequencies(grid), rtol=0,
                        atol=1e-12 / grid.step)
+
+
+def test_stft_frequency_lattice_is_the_fourier_spectrum_grid():
+    # stft and mod_norm take their lattice from spectrum_grid at the Fourier
+    # set: bit for bit the centered DFT lattice, start xi_0, step 1 / (N dt)
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        grid = Grid(float(rng.uniform(-50.0, 50.0)), float(10.0 ** rng.uniform(-3, 1)),
+                    int(rng.integers(2, 3000)))
+        spec = spectrum_grid(fourier_params(), grid)
+        ref = (float(dft_frequencies(grid)[0]), 1.0 / grid.span)
+        assert np.array([spec.start, spec.step]).tobytes() == np.array(ref).tobytes()
+        assert spec.count == grid.count
 
 
 def test_moyal_identity_random():
