@@ -19,7 +19,8 @@ from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,
 from .operators import (translate, modulate, chirp, involution,
                         a_translate, a_modulate, a_translate_compose_check,
                         a_translate_commute_check)
-from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle, isaft,
+from .engine import (SaftPlan, make_plan, saft, saft_fast, saft_oracle,
+                     saft_oracle_family, isaft,
                      apply_symbol, spectrum_grid, dft_frequencies,
                      chirp_period_compatible, sinc_reference,
                      twisted_derivative, heat_evolve)

@@ -9,8 +9,10 @@ O(step) and is covered by convergence-order checks instead.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,8 +389,48 @@ def save_signal_csv(f: Signal, path: str):
                      [f.grid.nodes(), f.samples.real, f.samples.imag])
 
 
-def load_signal_csv(path: str) -> Signal:
-    """The compact signal of a t,re,im CSV whose time column is uniform."""
+# The bytes a CSV body may hold for the one-pass loader: digits, signs,
+# points, exponents, the letters of nan, inf and infinity, commas, blanks and
+# line ends.  Within them csv.reader splits rows and cells only at commas and
+# line ends, and np.loadtxt reads a cell to the double float() gives or
+# refuses the file (it refuses a lone carriage return, an empty cell and a
+# change in the column count).
+_CSV_FAST_BYTES = b"0123456789+-.eE,nNaAiIfFtTyY \t\r\n"
+
+
+def _csv_columns_fast(data: bytes):
+    """(t, samples) of a CSV file's bytes by one np.loadtxt pass, or None.
+
+    Taken only when the first line is a t header without quotes or NULs and
+    the rest holds only _CSV_FAST_BYTES with no cell longer than csv's
+    field limit; None on any other file and on any failure, so the caller
+    falls back to _csv_columns.
+    """
+    cut = min((i for i in (data.find(b"\r"), data.find(b"\n")) if i >= 0),
+              default=len(data))
+    head, body = data[:cut], data[cut:]
+    if (not head.isascii() or b'"' in head or b"\0" in head
+            or head.split(b",")[0].strip().lower() != b"t"
+            or body.translate(None, _CSV_FAST_BYTES)):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
+    if np.max(np.diff(cuts, prepend=-1, append=len(raw))) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns
+            table = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",",
+                               comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] < 3:
+        return None
+    return table[:, 0].copy(), np.ascontiguousarray(table[:, 1:3]).view(complex)[:, 0]
+
+
+def _csv_columns(path: str):
+    """(t, samples) of a CSV file by csv.reader and float(), row by row."""
     ts, vals = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -403,9 +445,21 @@ def load_signal_csv(path: str) -> Signal:
             raise
         except (ValueError, csv.Error) as exc:  # a non-number, not UTF-8, a NUL
             raise InputError(str(exc)) from None
-    if len(ts) < 2:
+    return np.asarray(ts), np.asarray(vals, dtype=complex)
+
+
+def load_signal_csv(path: str) -> Signal:
+    """The compact signal of a t,re,im CSV whose time column is uniform.
+
+    A file that starts with the t header is read by one np.loadtxt pass
+    where that reads it as the row parser would; any other file, and any
+    file that pass refuses, goes through the row parser.
+    """
+    with open(path, "rb") as fh:
+        columns = _csv_columns_fast(fh.read())
+    t, samples = columns if columns is not None else _csv_columns(path)
+    if len(t) < 2:
         raise InputError("CSV needs at least two samples")
-    t = np.asarray(ts)
     if not np.all(np.isfinite(t)):
         raise InputError("CSV time column must be finite")
     steps = np.diff(t)
@@ -416,5 +470,4 @@ def load_signal_csv(path: str) -> Signal:
     tol = 1e-9 * abs(step) + 8.0 * np.finfo(float).eps * np.max(np.abs(t))
     if not np.all(np.abs(steps - step) <= tol):
         raise InputError("CSV time column must be uniform")
-    samples = _finite_samples(np.asarray(vals, dtype=complex))
-    return Signal(Grid(float(t[0]), step, len(t)), samples)
+    return Signal(Grid(float(t[0]), step, len(t)), _finite_samples(samples))

@@ -157,13 +157,27 @@ def norm_ratios(op, rs: tuple[float, ...],
                 family: list[Signal]) -> list[tuple[float, float]]:
     """Empirical (min, max) of ||op f||_r / ||f||_r over the family, one pair
     per exponent r in rs, in that order.  op, any callable Signal -> Signal,
-    is applied once per member; every r-norm is taken of that one output."""
+    is applied once per member; every r-norm is taken of that one output.
+
+    Rejects a zero member, and a norm outside the float range: one that is
+    not finite, or zero for nonzero samples.
+    """
     if not family:
         raise InputError("the probe family is empty")
+    if not all(np.any(f.samples) for f in family):
+        raise InputError("the probe family holds a zero signal")
+
+    def norm(g: Signal, r: float) -> float:
+        value = lr_norm(g, r)
+        if not np.isfinite(value) or (value == 0.0 and np.any(g.samples)):
+            raise InputError(f"the L^{r:g} norm of a probe signal is {value!r}, "
+                             "outside the float range")
+        return value
+
     ratios = []
     for f in family:
         out = op(f)
-        ratios.append([lr_norm(out, r) / lr_norm(f, r) for r in rs])
+        ratios.append([norm(out, r) / norm(f, r) for r in rs])
     return [(min(v), max(v)) for v in zip(*ratios)]
 
 

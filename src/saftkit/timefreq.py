@@ -20,6 +20,22 @@ the time side (FFTs of windowed products), which is what makes their
 scaling identity a test.
 Both reduce row blocks as they are made, so they run at any N in bounded
 memory; STFT_MAX_COUNT bounds only stft, which returns the whole table.
+
+Which functions stream row blocks, and which keep whole tables:
+- chirp_stft_covariance_check and a_covariance_check read V_g f and the
+  left side as paired blocks of TF_CACHE_ENTRIES values, build the right
+  side per block and keep running maxima of |lhs - rhs| and |V_g f|.  A
+  maximum does not depend on the split or the order of the blocks, and
+  every entry gets the same operations in the same operand order as on
+  whole tables, so the checks report the same numbers bit for bit.
+- a_mod_norm's general path runs blocks of TF_CACHE_ENTRIES values through
+  one buffer: each row's sum is along the row, so it does not depend on
+  the split either.
+- stft, mod_norm and weighted_tf_norm keep blocks of TF_BLOCK_ENTRIES
+  values (mod_norm sums each column over a block's rows, so its bits
+  depend on the split), with their FFTs and powers taken in place.
+- saft_stft_identity_check keeps whole tables: its lattice map moves
+  entries across rows and columns.
 """
 
 from __future__ import annotations
@@ -40,9 +56,13 @@ from .params import (InputError, SaftParams, WeightSpec, fourier_params,
 # stft returns a dense N x N complex table: 256 MiB at this limit.  The
 # norms never build it, so the limit does not apply to them.
 STFT_MAX_COUNT = 4096
-# The STFT row helper and a_mod_norm work in blocks of rows of at most this
-# many complex values (4 MiB per table), so N <= 512 is one block.
+# stft, mod_norm and a_mod_norm's Parseval path work in blocks of rows of at
+# most this many complex values (4 MiB per table), so N <= 512 is one block.
 TF_BLOCK_ENTRIES = 2 ** 18
+# The covariance checks and a_mod_norm's general path work in blocks of at
+# most this many complex values (512 KiB per buffer, 64 rows at N = 512), so
+# the few buffers each keeps stay in a core's L2 cache.
+TF_CACHE_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -59,19 +79,23 @@ class TFMatrix:
             raise InputError("value matrix must match the lattice")
 
 
-def _stft_rows(f: Signal, g: Signal):
-    """Yield (lo, block) with block[i, k] = V(x_{lo+i}, xi_k), in row blocks
-    of at most TF_BLOCK_ENTRIES values.
+def _stft_rows(f: Signal, g: Signal, rows: int = 0, start: int = 0):
+    """Check f and g, then return an iterator of (lo, block) with
+    block[i, k] = V(x_m, xi_k) for m = (start + lo + i) mod N, in blocks of
+    `rows` rows (by default as many as TF_BLOCK_ENTRIES values hold).
 
+    Every block is the same buffer, overwritten by the next one, so a
+    caller reduces or copies a block before it asks for the next.
     Row m needs conj(g) at sample n - m - k0 for n = 0..N-1, the window of
     one padded conj(g) that starts at top - m: the tripled conj(g) in
-    cyclic mode, the zero-padded one in compact mode.  So a block's window
-    rows are one reversed strided view, and one multiply by
+    cyclic mode, the zero-padded one in compact mode.  So a run of
+    consecutive rows is one reversed strided view (a block whose rows wrap
+    past N is two runs), and one multiply by
     fc = dt * f * exp(2 pi i n floor(N/2) / N) (the centring phase puts
-    each FFT row in centered order) builds the block without a gathered
-    copy.  One row-wise FFT and the unit grid-origin phase per column
-    finish it.  In compact mode a row whose window starts outside the
-    padded array lies wholly in the padding and stays zero.
+    each FFT row in centered order) fills it without a gathered copy.  One
+    row-wise FFT and the unit grid-origin phase per column finish it.  In
+    compact mode a row whose window starts outside the padded array lies
+    wholly in the padding and stays zero.
     """
     _require_same_grid(f, g)
     grid = f.grid
@@ -87,23 +111,29 @@ def _stft_rows(f: Signal, g: Signal):
     last = len(windows) - 1  # window starts run over 0..2N
     fc = grid.step * f.samples * np.exp(2j * np.pi / n * (np.arange(n) * (n // 2) % n))
     col = np.exp(-2j * np.pi * dft_frequencies(grid) * grid.start)
-    rows = max(1, TF_BLOCK_ENTRIES // n)
+    rows = min(n, rows or max(1, TF_BLOCK_ENTRIES // n))
+    buf = np.empty((rows, n), dtype=complex)
 
-    def window_rows(a: int, b: int):  # rows a..b-1, for top - last <= a < b <= top + 1
-        return windows[top - a:top - b if top >= b else None:-1]
+    def fill(out: np.ndarray, a: int):  # rows a..a+len(out)-1, all below N
+        first, stop = max(a, top - last), min(a + len(out), top + 1)
+        if (first, stop) != (a, a + len(out)):  # compact mode: rows in the padding
+            out[:] = 0.0
+        if first < stop:
+            np.multiply(windows[top - first:top - stop if top >= stop else None:-1], fc,
+                        out=out[first - a:stop - a])
 
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        a, b = max(lo, top - last), min(hi, top + 1)
-        if (a, b) == (lo, hi):
-            block = np.multiply(window_rows(lo, hi), fc)
-        else:  # compact mode: the other rows' windows lie in the padding
-            block = np.zeros((hi - lo, n), dtype=complex)
-            if a < b:
-                np.multiply(window_rows(a, b), fc, out=block[a - lo:b - lo])
-        block = np.fft.fft(block, axis=1)
-        block *= col
-        yield lo, block
+    def blocks():
+        for lo in range(0, n, rows):
+            block = buf[:min(rows, n - lo)]
+            m = (start + lo) % n
+            fill(block[:n - m], m)
+            if n - m < len(block):  # the rows wrap past N
+                fill(block[n - m:], 0)
+            np.fft.fft(block, axis=1, out=block)
+            block *= col
+            yield lo, block
+
+    return blocks()
 
 
 def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
@@ -165,15 +195,36 @@ def _relative(dev: np.ndarray, V0: np.ndarray) -> float:
     return float(np.max(np.abs(dev)) / peak) if peak > 0 else 0.0
 
 
-def _shift_rows(M: np.ndarray, sign: int, shifts) -> np.ndarray:
+def _streamed_relative(V0_rows, lhs_rows, rhs) -> float:
+    """_relative(lhs - rhs, V0) from paired row blocks of V0 and the left
+    side, the right side built per block by rhs(lo, v0_block, out).
+
+    The two maxima are kept per block; a maximum does not depend on how
+    the rows are split or in which order they come.
+    """
+    devs, peaks = [], []
+    out = None
+    for (lo, v0), (_, lhs) in zip(V0_rows, lhs_rows):
+        if out is None:
+            out = np.empty_like(v0)
+        lhs -= rhs(lo, v0, out[:len(v0)])
+        devs.append(np.max(np.abs(lhs)))
+        peaks.append(np.max(np.abs(v0)))
+    peak = np.max(peaks)
+    return float(np.max(devs) / peak) if peak > 0 else 0.0
+
+
+def _shift_rows(M: np.ndarray, sign: int, shifts, out=None) -> np.ndarray:
     """out[r, i] = M[r, sign * i + shifts[r]] on centred column indices mod N
     (i = -N//2 .. N - 1 - N//2): a roll per row, after a reversal about the
-    centre when sign = -1.  Pure data movement, two slice copies per row."""
+    centre when sign = -1.  Pure data movement, two slice copies per row,
+    into out when given (C order, not overlapping M)."""
     n = M.shape[1]
     if sign < 0:  # M[r, k - i] is the reversed row read at i + (N - 1 - 2 (N//2)) - k
         M = M[:, ::-1]
         shifts = (n - 1 - 2 * (n // 2)) - np.asarray(shifts)
-    out = np.empty(M.shape, M.dtype)  # C order, also for a transposed M
+    if out is None:
+        out = np.empty(M.shape, M.dtype)  # C order, also for a transposed M
     for row, src, k in zip(out, M, (np.asarray(shifts) % n).tolist()):
         row[:n - k] = src[k:]
         row[n - k:] = src[:k]
@@ -193,23 +244,42 @@ def _lattice_map(V: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     return _shift_rows(W.T, -b, d * centred)
 
 
+def _cache_rows(n: int) -> int:
+    """Rows of N values in a block of at most TF_CACHE_ENTRIES, at least one."""
+    return min(n, max(1, TF_CACHE_ENTRIES // n))
+
+
 def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
     """Relative deviation in V_{C_s g}(C_s f)(x, w) = e^{-i pi s x^2} V_g f(x, w - s x).
 
     Requires the shear to be lattice-aligned: s*dt and s*t0 must be
-    multiples of the frequency step 1/(N dt).
+    multiples of the frequency step 1/(N dt).  Both STFTs are read in
+    paired row blocks of _cache_rows(N) rows, so no N x N table is made.
     """
-    V0 = stft(f, g)
-    shear_step = V0.w_grid.steps_of(s * f.grid.step, "misaligned shear: s*dt "
-                                    "must be a multiple of the frequency step")
-    shear_base = V0.w_grid.steps_of(s * f.grid.start, "misaligned shear: s*t0 "
-                                    "must be a multiple of the frequency step")
-    lhs = stft(chirp(f, s), chirp(g, s)).values
-    x = f.grid.nodes()
+    grid = f.grid
+    n = grid.count
+    rows = _cache_rows(n)
+    V0_rows = _stft_rows(f, g, rows)
+    w_grid = spectrum_grid(fourier_params(), grid)
+    shear_step = w_grid.steps_of(s * grid.step, "misaligned shear: s*dt "
+                                 "must be a multiple of the frequency step")
+    shear_base = w_grid.steps_of(s * grid.start, "misaligned shear: s*t0 "
+                                 "must be a multiple of the frequency step")
+    lhs_rows = _stft_rows(chirp(f, s), chirp(g, s), rows)
+    x = grid.nodes()
+    phase = np.exp(-1j * np.pi * s * x * x)[:, None]
     # row m of the right side is row m of V0 rolled by shear_base + m * shear_step
-    shift = shear_base + np.arange(f.grid.count) * shear_step
-    rhs = np.exp(-1j * np.pi * s * x * x)[:, None] * _shift_rows(V0.values, 1, -shift)
-    return _relative(lhs - rhs, V0.values)
+    shift = shear_base + np.arange(n) * shear_step
+    shifted = np.empty((rows, n), dtype=complex)
+
+    # the phase stays the first operand, as on whole tables: numpy's complex
+    # multiply can round differently with the operands swapped
+    def rhs(lo, v0, out):
+        hi = lo + len(v0)
+        return np.multiply(phase[lo:hi], _shift_rows(v0, 1, -shift[lo:hi],
+                                                     shifted[:len(v0)]), out=out)
+
+    return _streamed_relative(V0_rows, lhs_rows, rhs)
 
 
 def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
@@ -221,19 +291,31 @@ def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
 
     xi must be grid-aligned and (a xi - eta)/b must sit on the frequency
     lattice; misalignment is rejected with the required alignment reported.
+    V_g f is read in row blocks from the cyclic start row -xi/dt, paired
+    with the left side's blocks from row 0, so no N x N table is made.
     """
-    V0 = stft(f, g)
-    m_shift = f.grid.steps_of(xi, "xi must be a multiple of the grid step")
+    grid = f.grid
+    n = grid.count
+    rows = _cache_rows(n)
+    m_shift = grid.steps_of(xi, "xi must be a multiple of the grid step")
+    V0_rows = _stft_rows(f, g, rows, -m_shift % n)
+    w_grid = spectrum_grid(fourier_params(), grid)
     w_shift = (params.a * xi - eta) / params.b
-    k_shift = V0.w_grid.steps_of(w_shift, f"(a*xi - eta)/b = {w_shift} must "
-                                 "be a multiple of the frequency step")
+    k_shift = w_grid.steps_of(w_shift, f"(a*xi - eta)/b = {w_shift} must "
+                              "be a multiple of the frequency step")
     shifted = a_translate(a_modulate(f, params, eta), params, xi)
-    lhs = stft(shifted, g).values
-    w = V0.w_grid.nodes()
-    scalar = pre_chirp(params, -eta)
-    rolled = np.roll(V0.values, (m_shift, -k_shift), axis=(0, 1))
-    rhs = scalar * np.exp(-2j * np.pi * xi * w)[None, :] * rolled
-    return _relative(lhs - rhs, V0.values)
+    lhs_rows = _stft_rows(shifted, g, rows)
+    phase = pre_chirp(params, -eta) * np.exp(-2j * np.pi * xi * w_grid.nodes())[None, :]
+    rolled = np.empty((rows, n), dtype=complex)
+    k = k_shift % n
+
+    def rhs(lo, v0, out):  # V0 rolled by (m_shift, -k_shift) on the block's rows
+        block = rolled[:len(v0)]
+        block[:, :n - k] = v0[:, k:]
+        block[:, n - k:] = v0[:, :k]
+        return np.multiply(phase, block, out=out)
+
+    return _streamed_relative(V0_rows, lhs_rows, rhs)
 
 
 def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
@@ -303,7 +385,8 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     for lo, block in _stft_rows(f, window_flip(g)):
         mag = np.abs(block)
         mag *= weight_eval(m, x[lo:lo + len(block)], w)
-        acc += np.sum(mag ** r, axis=0)
+        mag **= r
+        acc += np.sum(mag, axis=0)
     return _mixed_norm(grid.step * acc, 1.0 / grid.span, r, s)
 
 
@@ -323,8 +406,10 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     Parseval, sum_j |G_shift|^2 |U_j|^2 / N, so that case takes the same
     strided view of the tripled |G|^2 times |U|^2 / N as one real matvec
     per block, and makes no inverse FFT.
-    A block holds at most TF_BLOCK_ENTRIES complex values, so memory stays
-    bounded at any N.
+    The general path runs blocks of _cache_rows(N) rows through one
+    complex and one real buffer, in place; each row's sum is along the row,
+    so it does not depend on the split.  A Parseval block holds at most
+    TF_BLOCK_ENTRIES values, so memory stays bounded at any N.
     """
     _check_norm_inputs(f, g, r, s)
     grid = f.grid
@@ -348,16 +433,20 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     xj = x[(np.arange(n) + k0) % n]
     scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
-    rows = max(1, TF_BLOCK_ENTRIES // n)
+    rows = max(1, TF_BLOCK_ENTRIES // n) if parseval else _cache_rows(n)
+    if not parseval:
+        buf, mag = np.empty((rows, n), dtype=complex), np.empty((rows, n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if parseval:
             inner[lo:hi] = windows[top - lo:top - hi:-1] @ U
             continue
-        block = np.multiply(windows[top - lo:top - hi:-1], U)
-        conv = np.abs(np.fft.ifft(block, axis=1))
+        block = np.multiply(windows[top - lo:top - hi:-1], U, out=buf[:hi - lo])
+        np.fft.ifft(block, axis=1, out=block)
+        conv = np.abs(block, out=mag[:hi - lo])
         conv *= weight_eval(m, xj, omegas[lo:hi, None])
-        inner[lo:hi] = np.sum(conv ** r, axis=1)
+        conv **= r
+        inner[lo:hi] = np.sum(conv, axis=1)
     inner *= grid.step * scale ** r
     return _mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
 
@@ -386,8 +475,10 @@ def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:
     """(dx dw sum |V|^r weight^r)^{1/r} over the lattice."""
     x = V.x_grid.nodes()[:, None]
     om = V.w_grid.nodes()[None, :]
-    wgt = weight_eval(w, x, om)
-    acc = np.sum((np.abs(V.values) * wgt) ** r)
+    mag = np.abs(V.values)
+    mag *= weight_eval(w, x, om)
+    mag **= r
+    acc = np.sum(mag)
     return float((V.x_grid.step * V.w_grid.step * acc) ** (1.0 / r))
 
 

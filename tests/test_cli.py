@@ -226,6 +226,10 @@ BAD_INPUTS = {
     "amodnorm-huge-r": ["amodnorm", "-r", "1e300", "-s", "2", "--in", "GOOD"],
     "modnorm-huge-weight": ["modnorm", "-r", "2", "-s", "2", "--weight", "v_ell:1e300",
                             "--in", "GOOD"],
+    "probe-hormander-huge-r": ["probe", "--kind", "hormander", "-r", "1e300",
+                               "--size", "64", "--count", "2"],
+    "probe-lp-huge-r": ["probe", "--kind", "lp", "-r", "1e300", "--size", "64",
+                        "--count", "2"],
 }
 # The file the error line names, where the case has one: an error raised
 # writing the output names --out, not the input it was computed from.
@@ -276,8 +280,10 @@ def test_cli_bad_input_exits_2_with_one_error_line(case, bad_input_files, capsys
     (["amodnorm", "-r", "1e300", "-s", "2", "--in", "good.json"], "good.json"),
     (["modnorm", "-r", "2", "-s", "2", "--weight", "v_ell:1e300", "--in", "good.json"],
      "good.json"),
+    (["probe", "--kind", "hormander", "-r", "1e300", "--size", "64", "--count", "2"], None),
+    (["probe", "--kind", "lp", "-r", "1e300", "--size", "64", "--count", "2"], None),
 ), ids=("op-nan-output-json", "op-nan-output-csv", "amodnorm-huge-r",
-        "modnorm-huge-weight"))
+        "modnorm-huge-weight", "probe-hormander-huge-r", "probe-lp-huge-r"))
 def test_cli_process_prints_one_error_line_and_no_numpy_warning(argv, named, tmp_path):
     # pytest captures numpy's RuntimeWarnings in-process; a separate
     # interpreter shows everything that reaches stderr
@@ -291,8 +297,8 @@ def test_cli_process_prints_one_error_line_and_no_numpy_warning(argv, named, tmp
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and run.stdout == ""
     lines = run.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"saftkit {argv[0]}: error: "
-                                                   f"{named}: "), run.stderr
+    prefix = f"saftkit {argv[0]}: error: " + (f"{named}: " if named else "")
+    assert len(lines) == 1 and lines[0].startswith(prefix), run.stderr
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "o.csv").exists()
 
 

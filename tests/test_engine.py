@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from saftkit import engine
 from saftkit.engine import (PLAN_CACHE_PLANS, apply_symbol, chirp_period_compatible,
                             dft_frequencies, heat_evolve, isaft, make_plan,
-                            project_ranges, saft, saft_fast, saft_oracle, sinc_reference,
+                            natural_freqs, project_ranges, saft, saft_fast,
+                            saft_oracle, saft_oracle_family, sinc_reference,
                             spectrum_grid, twisted_derivative)
 from saftkit.grid import (Grid, Signal, Spectrum, centered_grid, lr_norm,
                           sample, spectrum_norm)
@@ -577,3 +578,47 @@ def test_oracles_use_no_fft_and_no_plan(monkeypatch):
     f = _noise(Grid(-3.7, 0.05, 255), 40)
     assert np.all(np.isfinite(saft_oracle(GENERIC, f).samples))
     assert np.all(np.isfinite(heat_evolve(GENERIC, f, 0.1, "kernel").samples))
+
+
+def _one_signal_oracle(params, f):
+    """The quadrature oracle for one signal, each 256-row chunk of the kernel
+    evaluated for it alone."""
+    t = f.grid.nodes()
+    w_nat = natural_freqs(params, f.grid)
+    a, b, p, d, W = params.a, params.b, params.p, params.d, params.omega0
+    vals = np.empty(f.grid.count, dtype=complex)
+    base = a * t * t + 2.0 * p * t
+    for lo in range(0, f.grid.count, 256):
+        wk = w_nat[lo:lo + 256, None]
+        phase = np.exp(1j * np.pi / b * (base[None, :] - 2.0 * wk * t[None, :]
+                                         + 2.0 * W * wk + d * wk * wk))
+        vals[lo:lo + 256] = phase @ f.samples
+    vals *= f.grid.step / np.sqrt(abs(b))
+    return vals[::-1] if b < 0 else vals
+
+
+@pytest.mark.parametrize("n", (100, 256, 300, 600))
+@pytest.mark.parametrize("params", (GENERIC, make_params(1, -0.5, 0, 1, 0.2, -0.1)),
+                         ids=("b>0", "b<0"))
+def test_oracle_family_is_the_one_signal_oracle_bit_for_bit(n, params):
+    # N = 100 is below one chunk of kernel rows, 300 and 600 end on a
+    # partial chunk
+    grid = Grid((7 - n // 2) * 0.05, 0.05, n)
+    family = [_noise(grid, seed) for seed in range(3)]
+    for members in (family, family[:1]):
+        spectra = saft_oracle_family(params, members)
+        assert len(spectra) == len(members)
+        for f, F in zip(members, spectra):
+            ref = saft_oracle(params, f)
+            assert np.array_equal(F.samples, ref.samples)
+            assert np.array_equal(F.samples, _one_signal_oracle(params, f))
+            assert F.freq_grid == ref.freq_grid and F.time_start == ref.time_start
+
+
+def test_oracle_family_rejects_an_empty_or_mixed_family():
+    grid = centered_grid(4.0, 32)
+    with pytest.raises(InputError, match="empty"):
+        saft_oracle_family(GENERIC, [])
+    other = Grid(grid.start + grid.step, grid.step, grid.count)
+    with pytest.raises(InputError, match="one grid"):
+        saft_oracle_family(GENERIC, [_noise(grid, 1), _noise(other, 2)])

@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from saftkit import grid as grid_module
 from saftkit.engine import make_plan, saft_fast, spectrum_grid
 from saftkit.grid import (Grid, Signal, Spectrum, _pairs, centered_grid,
                           impulse, indicator, inner_product, load_signal,
@@ -506,3 +507,109 @@ def test_loaders_raise_input_error_on_unparsable_files(name, text, message, tmp_
     path.write_bytes(b"\xff\xfe garbage")
     with pytest.raises(InputError, match="utf-8"):
         load(str(path))
+
+
+def _csv_outcome(path):
+    """What load_signal_csv makes of a file: the grid and sample bytes, or
+    the error type and message."""
+    try:
+        f = load_signal_csv(path)
+    except Exception as exc:  # noqa: BLE001 -- the outcome is the exception
+        return type(exc), str(exc)
+    return (np.array([f.grid.start, f.grid.step]).tobytes(), f.grid.count,
+            f.samples.tobytes(), f.mode)
+
+
+def _row_parser_outcome(path, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_csv_columns_fast", lambda data: None)
+        return _csv_outcome(path)
+
+
+CSV_BODIES = {
+    "crlf": "t,re,im\r\n0,1.5,-2\r\n0.5,-0,3e-5\r\n1,7,8\r\n",
+    "lf": "t,re,im\n0,1.5,-2\n0.5,-0,3e-5\n1,7,8\n",
+    "lone-cr": "t,re,im\r0,1,2\r0.5,3,4\r",
+    "no-final-line-end": "t,re,im\n0,1,2\n0.5,3,4",
+    "upper-header": "T,Re,Im\n0,1,2\n0.5,3,4\n",
+    "quoted-cells": 't,re,im\n"0",1,2\n0.5,"3",4\n',
+    "quoted-header": '"t",re,im\n0,1,2\n0.5,3,4\n',
+    "quote-spans-lines": 't,"re\n0,1,2\n0.5,3,4\n",im\n1,5,6\n1.5,7,8\n',
+    "extra-columns": "t,re,im,x\n0,1,2,9\n0.5,3,4,9\n",
+    "extra-text-column": "t,re,im,x\n0,1,2,a\n0.5,3,4,b\n",
+    "ragged-extra-columns": "t,re,im\n0,1,2,9\n0.5,3,4\n",
+    "trailing-comma": "t,re,im\n0,1,2,\n0.5,3,4,\n",
+    "blank-lines": "t,re,im\n\n0,1,2\r\n\r\n0.5,3,4\n\n",
+    "blank-cell-lines": "t,re,im\n0,1,2\n   \n0.5,3,4\n",
+    "empty-first-cell": "t,re,im\n0,1,2\n,5,6\n0.5,3,4\n",
+    "interior-header": "t,re,im\n0,1,2\nt,re,im\n0.5,3,4\n",
+    "interior-t-row": "t,re,im\n0,1,2\nt,1,2\n0.5,3,4\n",
+    "spaces-in-cells": "t,re,im\n 0 ,\t1,2 \n0.5, 3 ,4\n",
+    "underscore": "t,re,im\n0,1_0,2\n0.5,3,4\n",
+    "nan-sample": "t,re,im\n0,nan,2\n0.5,3,4\n",
+    "nan-time": "t,re,im\nnan,1,2\n0.5,3,4\n",
+    "inf-words": "t,re,im\n0,Infinity,2\n0.5,-inf,4\n",
+    "1e400": "t,re,im\n0,1e400,2\n0.5,3,4\n",
+    "1e-400": "t,re,im\n0,1e-400,2\n0.5,3,4\n",
+    "two-columns": "t,re\n0,1\n0.5,3\n",
+    "one-row": "t,re,im\n0,1,2\n",
+    "header-only": "t,re,im\n",
+    "empty": "",
+    "no-header": "0,1,2\n0.5,3,4\n",
+    "comment-mark": "t,re,im\n0,1,2 # note\n0.5,3,4\n",
+    "word": "t,re,im\n0,1,x\n0.5,3,4\n",
+    "nonuniform": "t,re,im\n0,1,2\n0.5,3,4\n2,5,6\n",
+    "long-digits": "t,re,im\n0,1." + "0" * 400 + "1,2\n0.5,3,4\n",
+    "hex": "t,re,im\n0,0x10,2\n0.5,3,4\n",
+}
+
+
+@pytest.mark.parametrize("name", CSV_BODIES)
+def test_csv_fast_pass_loads_and_refuses_as_the_row_parser(name, tmp_path, monkeypatch):
+    path = str(tmp_path / "f.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(CSV_BODIES[name])
+    assert _csv_outcome(path) == _row_parser_outcome(path, monkeypatch)
+
+
+@pytest.mark.parametrize("data", (b"t,re,im\n0,1,2\x00\n0.5,3,4\n", b"\xef\xbb\xbft,re,im\n0,1,2\n0.5,3,4\n",
+                                  b"t,re,im\n0,1,2\n0.5,3,\xff\n", "t,re,im\n0,١,2\n0.5,3,4\n".encode(),
+                                  b"t,re,im\n0,1," + b"1" * 131073 + b"\n0.5,3,4\n"),
+                         ids=("nul", "bom", "not-utf-8", "arabic-digit", "over-field-limit"))
+def test_csv_fast_pass_matches_the_row_parser_on_odd_bytes(data, tmp_path, monkeypatch):
+    path = str(tmp_path / "f.csv")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _csv_outcome(path) == _row_parser_outcome(path, monkeypatch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.lists(st.lists(st.text("0123456789+-.eEnaifty_ \t,\"", max_size=6),
+                              min_size=1, max_size=4), max_size=5),
+       ending=st.sampled_from(("\n", "\r\n", "\r")))
+def test_csv_fast_pass_matches_the_row_parser_generated(body, ending, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    text = "t,re,im" + ending + "".join(",".join(row) + ending for row in body)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    fast = _csv_outcome(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(grid_module, "_csv_columns_fast", lambda data: None)
+        assert fast == _csv_outcome(path)
+
+
+@pytest.mark.parametrize("ending", ("\r\n", "\n"))
+def test_csv_written_files_take_the_fast_pass(ending, tmp_path, monkeypatch):
+    f = Signal(Grid(-3.0, 0.125, 48), np.random.default_rng(5).standard_normal(48)
+               * (1 - 2j), "compact")
+    path = str(tmp_path / "f.csv")
+    save_signal_csv(f, path)
+    if ending == "\n":
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"\r\n", b"\n"))
+    monkeypatch.setattr(grid_module, "_csv_columns", None)  # the row parser is not called
+    back = load_signal_csv(path)
+    assert back.samples.tobytes() == f.samples.tobytes()
+    assert back.grid == f.grid

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -356,3 +358,19 @@ def test_probes_reject_an_empty_family():
                _square_function(LPBank.for_grid(GENERIC, grid))):
         with pytest.raises(InputError, match="family is empty"):
             norm_ratios(op, (2.0,), [])
+
+
+def test_probes_reject_a_zero_member_and_norms_outside_the_float_range():
+    grid = centered_grid(10.0, 64)
+    fam = bandlimited_family(grid, 2, 95)
+    op = _multiplier(imaginary_power(1.0))
+    with pytest.raises(InputError, match="zero signal"):
+        norm_ratios(op, (2.0,), fam + [Signal(grid, np.zeros(64), "cyclic")])
+    for r in (1e300, 2.0):  # samples below 1 underflow at r = 1e300, 1e200 overflows
+        scaled = fam if r > 2 else [f.with_samples(f.samples * 1e200) for f in fam]
+        with np.errstate(over="ignore"), pytest.raises(
+                InputError, match=re.escape(f"L^{r:g} norm of a probe signal is ")
+                + "(0.0|inf), outside the float range"):
+            norm_ratios(op, (r,), scaled)
+    # a zero image of a nonzero member is a ratio of 0, not an error
+    assert norm_ratios(lambda f: f.with_samples(0 * f.samples), (2.0,), fam) == [(0.0, 0.0)]

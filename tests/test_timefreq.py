@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saftkit.engine import dft_frequencies, make_plan, saft_fast, spectrum_grid
+from saftkit.engine import (dft_frequencies, make_plan, natural_freqs, saft_fast,
+                            spectrum_grid)
 from saftkit.grid import (Grid, Signal, centered_grid, lr_norm, sample,
                           save_json)
-from saftkit.operators import chirp
+from saftkit.operators import a_modulate, a_translate, chirp
 from saftkit.params import (InputError, fourier_params, freq_scaled_weight,
-                            frft_params, make_params, radial_weight,
-                            sheared_weight, transported_weight, unit_weight,
-                            weight_eval)
+                            frft_params, make_params, pre_chirp, quad_chirp,
+                            radial_weight, sheared_weight, transported_weight,
+                            unit_weight, weight_eval)
 from saftkit import timefreq
 from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               a_covariance_check, a_mod_norm,
@@ -530,3 +531,140 @@ def test_tf_matrix_shape_validation():
     grid = centered_grid(4.0, 8)
     with pytest.raises(ValueError):
         TFMatrix(grid, grid, np.zeros((8, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The streamed covariance checks and a_mod_norm's cache-sized blocks against
+# whole-table references, bit for bit.
+
+def _whole_table_chirp_check(f, g, s):
+    """chirp_stft_covariance_check on whole N x N tables."""
+    V0 = stft(f, g)
+    shear_step = V0.w_grid.steps_of(s * f.grid.step, "")
+    shear_base = V0.w_grid.steps_of(s * f.grid.start, "")
+    lhs = stft(chirp(f, s), chirp(g, s)).values
+    x = f.grid.nodes()
+    shift = shear_base + np.arange(f.grid.count) * shear_step
+    rhs = np.exp(-1j * np.pi * s * x * x)[:, None] * timefreq._shift_rows(V0.values, 1, -shift)
+    return timefreq._relative(lhs - rhs, V0.values)
+
+
+def _whole_table_a_covariance_check(params, f, g, xi, eta):
+    """a_covariance_check on whole N x N tables."""
+    V0 = stft(f, g)
+    m_shift = f.grid.steps_of(xi, "")
+    k_shift = V0.w_grid.steps_of((params.a * xi - eta) / params.b, "")
+    lhs = stft(a_translate(a_modulate(f, params, eta), params, xi), g).values
+    w = V0.w_grid.nodes()
+    rolled = np.roll(V0.values, (m_shift, -k_shift), axis=(0, 1))
+    rhs = pre_chirp(params, -eta) * np.exp(-2j * np.pi * xi * w)[None, :] * rolled
+    return timefreq._relative(lhs - rhs, V0.values)
+
+
+def _covariance_inputs(mode, n, k0, seed):
+    grid = Grid(k0 * 0.1, 0.1, n)
+    rng = np.random.default_rng(seed)
+    f = Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n), mode)
+    g = Signal(grid, np.exp(-((grid.nodes() - grid.start - grid.span / 2) / (0.15 * grid.span)) ** 2)
+               * (1 + 0.3j * rng.standard_normal(n)), mode)
+    return grid, f, g
+
+
+B_NEGATIVE = make_params(1, -0.5, 0, 1, 0.2, -0.1)
+
+
+@pytest.mark.parametrize("mode", ("cyclic", "compact"))
+# 15..97 are one block of _cache_rows(N) = N rows; 182 is the first N of two
+# blocks, the last of 2 rows; 512 is eight blocks of 64; 600 takes 54 rows
+# per block, the last one partial
+@pytest.mark.parametrize("n", (15, 16, 17, 64, 97, 182, 512, 600))
+@pytest.mark.parametrize("origin", ("-N/2", "-N/2+3", "N/3", "-2N"))
+def test_streamed_covariance_checks_equal_whole_table_checks(mode, n, origin):
+    k0 = {"-N/2": -(n // 2), "-N/2+3": 3 - n // 2, "N/3": n // 3, "-2N": -2 * n}[origin]
+    grid, f, g = _covariance_inputs(mode, n, k0, [n, k0 % 1000, mode == "cyclic"])
+    dxi = 1.0 / grid.span
+    for j in (2, -3):
+        s = j * dxi / grid.step
+        assert chirp_stft_covariance_check(f, g, s) == _whole_table_chirp_check(f, g, s)
+    # xi in steps: negative, small, near the window end and past it, so the
+    # start row of V_g f wraps past N at several places in the blocks
+    for params in (GENERIC, B_NEGATIVE):
+        for m, k in ((-5, 2), (3, -1), (n - 2, 0), (2 * n + 7, 4)):
+            xi = m * grid.step
+            eta = params.a * xi - params.b * k * dxi
+            assert (a_covariance_check(params, f, g, xi, eta)
+                    == _whole_table_a_covariance_check(params, f, g, xi, eta))
+
+
+@pytest.mark.parametrize("mode", ("cyclic", "compact"))
+@pytest.mark.parametrize("n, k0", ((16, -8), (17, 5), (97, -200), (97, 40), (600, -300)))
+@pytest.mark.parametrize("rows, start", ((1, 0), (7, 3), (16, -1), (64, 11), (0, 5)))
+def test_stft_rows_from_a_cyclic_start_are_rows_of_the_table(mode, n, k0, rows, start):
+    grid, f, g = _covariance_inputs(mode, n, k0, [n, rows, start % n])
+    V = stft(f, g).values
+    seen = []
+    for lo, block in timefreq._stft_rows(f, g, rows, start % n):
+        m = (start + lo + np.arange(len(block))) % n
+        assert np.array_equal(block, V[m])
+        seen += m.tolist()
+    assert sorted(seen) == list(range(n))
+
+
+def _whole_block_a_mod_norm(params, f, g, r, s, m):
+    """a_mod_norm's general path in blocks of TF_BLOCK_ENTRIES values, each
+    step making a fresh array."""
+    grid = f.grid
+    n = grid.count
+    k0 = grid.steps_of(grid.start, "")
+    x = grid.nodes()
+    omegas = natural_freqs(params, grid)
+    qc = quad_chirp(params, x)
+    U = np.fft.fft(qc * f.samples)
+    G = np.fft.fft(qc * g.samples)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((G, G, G)), n)
+    top = n + n // 2
+    xj = x[(np.arange(n) + k0) % n]
+    scale = grid.step / np.sqrt(abs(params.b))
+    inner = np.empty(n)
+    rows = max(1, TF_BLOCK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = np.multiply(windows[top - lo:top - hi:-1], U)
+        conv = np.abs(np.fft.ifft(block, axis=1))
+        conv *= weight_eval(m, xj, omegas[lo:hi, None])
+        inner[lo:hi] = np.sum(conv ** r, axis=1)
+    inner *= grid.step * scale ** r
+    return timefreq._mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
+
+
+@pytest.mark.parametrize("n", (17, 181, 182, 600, 1536))
+@pytest.mark.parametrize("r, s", ((2.0, 3.0), (1.0, 1.0), (3.5, 1.5)))
+def test_a_mod_norm_cache_blocks_equal_whole_blocks(n, r, s):
+    grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
+    f = gaussian_mixture_family(grid, 1, 84)[0]
+    g = gaussian_window(grid)
+    for params in (GENERIC, B_NEGATIVE):
+        for m in (radial_weight(1.0), transported_weight(2.0, params), unit_weight()):
+            if r == 2.0 and m.ell == 0:
+                continue  # the Parseval path, whose blocks did not change
+            assert (a_mod_norm(params, f, g, r, s, m)
+                    == _whole_block_a_mod_norm(params, f, g, r, s, m))
+
+
+@pytest.mark.parametrize("r", (1.0, 2.0, 3.3))
+def test_in_place_powers_keep_the_norms_bit_for_bit(r):
+    grid = centered_grid(10.0, 600)
+    f = gaussian_mixture_family(grid, 1, 85)[0]
+    g = gaussian_window(grid)
+    m = radial_weight(1.0)
+    x = grid.nodes()[:, None]
+    w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
+    acc = np.zeros(grid.count)
+    for lo, block in timefreq._stft_rows(f, window_flip(g)):
+        acc += np.sum((np.abs(block) * weight_eval(m, x[lo:lo + len(block)], w)) ** r, axis=0)
+    assert mod_norm(f, g, r, 2.0, m) == timefreq._mixed_norm(grid.step * acc,
+                                                             1.0 / grid.span, r, 2.0)
+    V = stft(f, g)
+    acc = np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r)
+    assert (weighted_tf_norm(V, m, r)
+            == float((V.x_grid.step * V.w_grid.step * acc) ** (1.0 / r)))
