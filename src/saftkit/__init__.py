@@ -11,8 +11,7 @@ identities at desk scale.
 from .params import (InputError, SaftParams, make_params, fourier_params,
                      frft_params, fresnel_params, pre_chirp, post_chirp,
                      quad_chirp, WeightSpec, unit_weight, radial_weight,
-                     transported_weight, freq_scaled_weight, sheared_weight,
-                     weight_eval)
+                     transported_weight, freq_scaled_weight, weight_eval)
 from .grid import (Grid, Signal, Spectrum, centered_grid, sample, impulse,
                    indicator, lr_norm, spectrum_norm, inner_product, tail_mass,
                    save_signal, load_signal, save_spectrum, load_spectrum)

@@ -155,11 +155,6 @@ def freq_scaled_weight(inner: WeightSpec, b: float) -> WeightSpec:
     return WeightSpec(inner.ell, (m00, m01 * b, m10, m11 * b))
 
 
-def sheared_weight(inner: WeightSpec, s: float) -> WeightSpec:
-    m00, m01, m10, m11 = inner.m
-    return WeightSpec(inner.ell, (m00 - s * m01, m01, m10 - s * m11, m11))
-
-
 def weight_eval(w: WeightSpec, x, omega):
     """Evaluate the weight at (x, omega); accepts scalars or broadcastable arrays.
 

@@ -18,24 +18,17 @@ on independent kernels: a_mod_norm works on the frequency side (inverse
 FFTs of spectrum products, or at r = 2 their Parseval sums), mod_norm on
 the time side (FFTs of windowed products), which is what makes their
 scaling identity a test.
-Both reduce row blocks as they are made, so they run at any N in bounded
-memory; STFT_MAX_COUNT bounds only stft, which returns the whole table.
-
-Which functions stream row blocks, and which keep whole tables:
-- chirp_stft_covariance_check and a_covariance_check read V_g f and the
-  left side as paired blocks of TF_CACHE_ENTRIES values, build the right
-  side per block and keep running maxima of |lhs - rhs| and |V_g f|.  A
-  maximum does not depend on the split or the order of the blocks, and
-  every entry gets the same operations in the same operand order as on
-  whole tables, so the checks report the same numbers bit for bit.
-- a_mod_norm's general path runs blocks of TF_CACHE_ENTRIES values through
-  one buffer: each row's sum is along the row, so it does not depend on
-  the split either.
-- stft, mod_norm and weighted_tf_norm keep blocks of TF_BLOCK_ENTRIES
-  values (mod_norm sums each column over a block's rows, so its bits
-  depend on the split), with their FFTs and powers taken in place.
-- saft_stft_identity_check keeps whole tables: its lattice map moves
-  entries across rows and columns.
+Every kernel that reduces an N x N quantity streams it in row blocks of
+at most TF_BLOCK_ENTRIES values, so it runs at any N in bounded memory;
+_stft_rows fills a buffer its caller owns, and STFT_MAX_COUNT bounds only
+stft, which hands it the whole N x N table as one block.  Each entry gets
+the same operations in the same operand order as on a whole table, and
+each reduction is one whose bits do not depend on the split (a maximum, a
+sum along a row, or mod_norm's column sums carried down the rows in
+order), so the results are the whole-table ones bit for bit (a_mod_norm's
+Parseval matvec aside: see there).  Two functions take whole tables:
+saft_stft_identity_check, whose lattice map moves entries across rows and
+columns, and weighted_tf_norm, which reduces a TFMatrix.
 """
 
 from __future__ import annotations
@@ -56,13 +49,10 @@ from .params import (InputError, SaftParams, WeightSpec, fourier_params,
 # stft returns a dense N x N complex table: 256 MiB at this limit.  The
 # norms never build it, so the limit does not apply to them.
 STFT_MAX_COUNT = 4096
-# stft, mod_norm and a_mod_norm's Parseval path work in blocks of rows of at
-# most this many complex values (4 MiB per table), so N <= 512 is one block.
-TF_BLOCK_ENTRIES = 2 ** 18
-# The covariance checks and a_mod_norm's general path work in blocks of at
-# most this many complex values (512 KiB per buffer, 64 rows at N = 512), so
-# the few buffers each keeps stay in a core's L2 cache.
-TF_CACHE_ENTRIES = 2 ** 15
+# Every streaming kernel works in blocks of rows of at most this many complex
+# values (512 KiB per buffer, 64 rows at N = 512), so the few buffers each
+# keeps stay in a core's L2 cache.
+TF_BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -79,13 +69,13 @@ class TFMatrix:
             raise InputError("value matrix must match the lattice")
 
 
-def _stft_rows(f: Signal, g: Signal, rows: int = 0, start: int = 0):
+def _stft_rows(f: Signal, g: Signal, buf: np.ndarray, start: int = 0):
     """Check f and g, then return an iterator of (lo, block) with
     block[i, k] = V(x_m, xi_k) for m = (start + lo + i) mod N, in blocks of
-    `rows` rows (by default as many as TF_BLOCK_ENTRIES values hold).
+    len(buf) rows filled into the caller's complex (rows, N) buffer buf.
 
-    Every block is the same buffer, overwritten by the next one, so a
-    caller reduces or copies a block before it asks for the next.
+    Every block is a view of buf, overwritten by the next one, so a caller
+    reduces or copies a block before it asks for the next.
     Row m needs conj(g) at sample n - m - k0 for n = 0..N-1, the window of
     one padded conj(g) that starts at top - m: the tripled conj(g) in
     cyclic mode, the zero-padded one in compact mode.  So a run of
@@ -111,8 +101,7 @@ def _stft_rows(f: Signal, g: Signal, rows: int = 0, start: int = 0):
     last = len(windows) - 1  # window starts run over 0..2N
     fc = grid.step * f.samples * np.exp(2j * np.pi / n * (np.arange(n) * (n // 2) % n))
     col = np.exp(-2j * np.pi * dft_frequencies(grid) * grid.start)
-    rows = min(n, rows or max(1, TF_BLOCK_ENTRIES // n))
-    buf = np.empty((rows, n), dtype=complex)
+    rows = len(buf)
 
     def fill(out: np.ndarray, a: int):  # rows a..a+len(out)-1, all below N
         first, stop = max(a, top - last), min(a + len(out), top + 1)
@@ -139,24 +128,20 @@ def _stft_rows(f: Signal, g: Signal, rows: int = 0, start: int = 0):
 def stft(f: Signal, g: Signal, window_id: str = "") -> TFMatrix:
     """V(x_m, xi_k) = dt * sum_n f(t_n) conj(g(t_n - x_m)) e^{-2 pi i xi_k t_n}.
 
-    One FFT per window position, batched over the row blocks of
-    _stft_rows (one multiply of a reversed window view by f per block);
-    for N <= 512 the table is one block and is returned as made.  Cyclic
-    mode wraps the window (needed for the exact full-lattice Moyal
-    identity); compact mode zero-fills outside the grid.  N above
-    STFT_MAX_COUNT is rejected before the N x N table is allocated.
+    One FFT per window position, batched over the table's rows: _stft_rows
+    fills the table as one block (one multiply of a reversed window view
+    by f), which is returned as made.  Cyclic mode wraps the window (needed
+    for the exact full-lattice Moyal identity); compact mode zero-fills
+    outside the grid.  N above STFT_MAX_COUNT is rejected before the N x N
+    table is allocated.
     """
     grid = f.grid
     n = grid.count
     if n > STFT_MAX_COUNT:
         raise InputError(f"stft returns a dense N x N table; N = {n} is above "
                          f"the limit of {STFT_MAX_COUNT} samples")
-    if n * n <= TF_BLOCK_ENTRIES:  # one block: the table as made
-        _, vals = next(_stft_rows(f, g))
-    else:
-        vals = np.empty((n, n), dtype=complex)
-        for lo, block in _stft_rows(f, g):
-            vals[lo:lo + len(block)] = block
+    vals = np.empty((n, n), dtype=complex)
+    next(_stft_rows(f, g, vals))
     return TFMatrix(grid, spectrum_grid(fourier_params(), grid), vals, window_id)
 
 
@@ -195,25 +180,6 @@ def _relative(dev: np.ndarray, V0: np.ndarray) -> float:
     return float(np.max(np.abs(dev)) / peak) if peak > 0 else 0.0
 
 
-def _streamed_relative(V0_rows, lhs_rows, rhs) -> float:
-    """_relative(lhs - rhs, V0) from paired row blocks of V0 and the left
-    side, the right side built per block by rhs(lo, v0_block, out).
-
-    The two maxima are kept per block; a maximum does not depend on how
-    the rows are split or in which order they come.
-    """
-    devs, peaks = [], []
-    out = None
-    for (lo, v0), (_, lhs) in zip(V0_rows, lhs_rows):
-        if out is None:
-            out = np.empty_like(v0)
-        lhs -= rhs(lo, v0, out[:len(v0)])
-        devs.append(np.max(np.abs(lhs)))
-        peaks.append(np.max(np.abs(v0)))
-    peak = np.max(peaks)
-    return float(np.max(devs) / peak) if peak > 0 else 0.0
-
-
 def _shift_rows(M: np.ndarray, sign: int, shifts, out=None) -> np.ndarray:
     """out[r, i] = M[r, sign * i + shifts[r]] on centred column indices mod N
     (i = -N//2 .. N - 1 - N//2): a roll per row, after a reversal about the
@@ -244,9 +210,43 @@ def _lattice_map(V: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     return _shift_rows(W.T, -b, d * centred)
 
 
-def _cache_rows(n: int) -> int:
-    """Rows of N values in a block of at most TF_CACHE_ENTRIES, at least one."""
-    return min(n, max(1, TF_CACHE_ENTRIES // n))
+def _block_rows(n: int) -> int:
+    """Rows of N values in a block of at most TF_BLOCK_ENTRIES, at least one."""
+    return min(n, max(1, TF_BLOCK_ENTRIES // n))
+
+
+def _streamed_check(f: Signal, g: Signal, start: int, lhs: tuple[Signal, Signal],
+                    phase: np.ndarray, shifts) -> float:
+    """_relative(V_{g'} f' - phase * S(V_g f), V_g f) for the pair
+    lhs = (f', g'), in paired row blocks of _block_rows(N) rows: V_g f from
+    the cyclic start row `start`, the left side from row 0.  S rolls block
+    row m left by shifts[m] on the centred columns, or every row by the one
+    int shifts; phase broadcasts against the N x N table.
+
+    The phase stays the first operand, as on whole tables: numpy's complex
+    multiply can round differently with the operands swapped.  The two
+    maxima are kept per block; a maximum does not depend on how the rows
+    are split or in which order they come.
+    """
+    n = f.grid.count
+    v0_buf, lhs_buf, rhs_buf = (np.empty((_block_rows(n), n), dtype=complex)
+                                for _ in range(3))
+    phase = np.broadcast_to(phase, (n, n))
+    devs, peaks = [], []
+    for (lo, v0), (_, dev) in zip(_stft_rows(f, g, v0_buf, start),
+                                  _stft_rows(*lhs, lhs_buf)):
+        hi = lo + len(v0)
+        rhs = rhs_buf[:len(v0)]
+        if np.ndim(shifts):
+            _shift_rows(v0, 1, shifts[lo:hi], rhs)
+        else:  # one roll for every row: two block copies, not a copy per row
+            k = shifts % n
+            rhs[:, :n - k] = v0[:, k:]
+            rhs[:, n - k:] = v0[:, :k]
+        dev -= np.multiply(phase[lo:hi], rhs, out=rhs)
+        devs.append(np.max(np.abs(dev)))
+        peaks.append(np.max(np.abs(v0)))
+    return _relative(devs, peaks)
 
 
 def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
@@ -254,32 +254,19 @@ def chirp_stft_covariance_check(f: Signal, g: Signal, s: float) -> float:
 
     Requires the shear to be lattice-aligned: s*dt and s*t0 must be
     multiples of the frequency step 1/(N dt).  Both STFTs are read in
-    paired row blocks of _cache_rows(N) rows, so no N x N table is made.
+    paired row blocks, so no N x N table is made.
     """
     grid = f.grid
-    n = grid.count
-    rows = _cache_rows(n)
-    V0_rows = _stft_rows(f, g, rows)
     w_grid = spectrum_grid(fourier_params(), grid)
     shear_step = w_grid.steps_of(s * grid.step, "misaligned shear: s*dt "
                                  "must be a multiple of the frequency step")
     shear_base = w_grid.steps_of(s * grid.start, "misaligned shear: s*t0 "
                                  "must be a multiple of the frequency step")
-    lhs_rows = _stft_rows(chirp(f, s), chirp(g, s), rows)
     x = grid.nodes()
-    phase = np.exp(-1j * np.pi * s * x * x)[:, None]
     # row m of the right side is row m of V0 rolled by shear_base + m * shear_step
-    shift = shear_base + np.arange(n) * shear_step
-    shifted = np.empty((rows, n), dtype=complex)
-
-    # the phase stays the first operand, as on whole tables: numpy's complex
-    # multiply can round differently with the operands swapped
-    def rhs(lo, v0, out):
-        hi = lo + len(v0)
-        return np.multiply(phase[lo:hi], _shift_rows(v0, 1, -shift[lo:hi],
-                                                     shifted[:len(v0)]), out=out)
-
-    return _streamed_relative(V0_rows, lhs_rows, rhs)
+    return _streamed_check(f, g, 0, (chirp(f, s), chirp(g, s)),
+                           np.exp(-1j * np.pi * s * x * x)[:, None],
+                           -(shear_base + np.arange(grid.count) * shear_step))
 
 
 def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
@@ -295,27 +282,14 @@ def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
     with the left side's blocks from row 0, so no N x N table is made.
     """
     grid = f.grid
-    n = grid.count
-    rows = _cache_rows(n)
     m_shift = grid.steps_of(xi, "xi must be a multiple of the grid step")
-    V0_rows = _stft_rows(f, g, rows, -m_shift % n)
     w_grid = spectrum_grid(fourier_params(), grid)
     w_shift = (params.a * xi - eta) / params.b
     k_shift = w_grid.steps_of(w_shift, f"(a*xi - eta)/b = {w_shift} must "
                               "be a multiple of the frequency step")
     shifted = a_translate(a_modulate(f, params, eta), params, xi)
-    lhs_rows = _stft_rows(shifted, g, rows)
     phase = pre_chirp(params, -eta) * np.exp(-2j * np.pi * xi * w_grid.nodes())[None, :]
-    rolled = np.empty((rows, n), dtype=complex)
-    k = k_shift % n
-
-    def rhs(lo, v0, out):  # V0 rolled by (m_shift, -k_shift) on the block's rows
-        block = rolled[:len(v0)]
-        block[:, :n - k] = v0[:, k:]
-        block[:, n - k:] = v0[:, :k]
-        return np.multiply(phase, block, out=out)
-
-    return _streamed_relative(V0_rows, lhs_rows, rhs)
+    return _streamed_check(f, g, -m_shift % grid.count, (shifted, g), phase, k_shift)
 
 
 def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
@@ -359,6 +333,15 @@ def _check_norm_inputs(f: Signal, g: Signal, r: float, s: float):
     _require_same_grid(f, g)
 
 
+def _check_twisted_norm_inputs(f: Signal, g: Signal, r: float, s: float):
+    """_check_norm_inputs, and cyclic mode: the twisted norms are cyclic
+    convolutions, which would wrap a compact-mode signal without a word."""
+    _check_norm_inputs(f, g, r, s)
+    if f.mode != "cyclic":
+        raise InputError("the twisted modulation norm is a cyclic convolution; "
+                         "f and g must be in cyclic mode, not compact")
+
+
 def _mixed_norm(inner: np.ndarray, dw: float, r: float, s: float) -> float:
     """(dw * sum_w inner(w)^(s/r))^(1/s), from the per-frequency sums
     inner(w) = int |.|^r m^r dx; rejects a norm outside the float range."""
@@ -374,19 +357,24 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
 
     (int (int |f * M_w g(x)|^r m(x,w)^r dx)^{s/r} dw)^{1/s}, computed as the
     STFT against the flipped window.  STFT row blocks are reduced as they
-    are made into per-frequency partial sums over x, so memory stays
-    bounded at any N.
+    are made into per-frequency sums over x, so memory stays bounded at any
+    N.  Each block adds the running sums into its first row before it sums
+    its columns, so every column is summed down the rows in order, as the
+    whole table's sum over x is, and the bits do not depend on the split.
     """
     _check_norm_inputs(f, g, r, s)
     grid = f.grid
+    n = grid.count
     x = grid.nodes()[:, None]
     w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
-    acc = np.zeros(grid.count)
-    for lo, block in _stft_rows(f, window_flip(g)):
+    acc = np.zeros(n)
+    buf = np.empty((_block_rows(n), n), dtype=complex)
+    for lo, block in _stft_rows(f, window_flip(g), buf):
         mag = np.abs(block)
         mag *= weight_eval(m, x[lo:lo + len(block)], w)
         mag **= r
-        acc += np.sum(mag, axis=0)
+        mag[0] += acc
+        acc = np.sum(mag, axis=0)
     return _mixed_norm(grid.step * acc, 1.0 / grid.span, r, s)
 
 
@@ -406,12 +394,14 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     Parseval, sum_j |G_shift|^2 |U_j|^2 / N, so that case takes the same
     strided view of the tripled |G|^2 times |U|^2 / N as one real matvec
     per block, and makes no inverse FFT.
-    The general path runs blocks of _cache_rows(N) rows through one
-    complex and one real buffer, in place; each row's sum is along the row,
-    so it does not depend on the split.  A Parseval block holds at most
-    TF_BLOCK_ENTRIES values, so memory stays bounded at any N.
+    Both paths run blocks of _block_rows(N) rows, so memory stays bounded
+    at any N; the general path runs them through one complex and one real
+    buffer, in place.  Each row's sum is along the row, so it does not
+    depend on the split, except that numpy takes a one-row Parseval block's
+    matvec as a dot product, which can round that row differently.
+    f and g must be in cyclic mode.
     """
-    _check_norm_inputs(f, g, r, s)
+    _check_twisted_norm_inputs(f, g, r, s)
     grid = f.grid
     n = grid.count
     k0 = grid.steps_of(grid.start, "cyclic convolution needs the grid origin "
@@ -433,7 +423,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     xj = x[(np.arange(n) + k0) % n]
     scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
-    rows = max(1, TF_BLOCK_ENTRIES // n) if parseval else _cache_rows(n)
+    rows = _block_rows(n)
     if not parseval:
         buf, mag = np.empty((rows, n), dtype=complex), np.empty((rows, n))
     for lo in range(0, n, rows):
@@ -457,9 +447,10 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
 
     One cyclic twisted convolution per frequency on the induced grid
     w = b * xi, through aconv_fast and a_modulate; the weight is evaluated
-    on that twisted-side lattice.  The reference for a_mod_norm.
+    on that twisted-side lattice.  The reference for a_mod_norm; f and g
+    must be in cyclic mode.
     """
-    _check_norm_inputs(f, g, r, s)
+    _check_twisted_norm_inputs(f, g, r, s)
     grid = f.grid
     x = grid.nodes()
     omegas = natural_freqs(params, grid)
@@ -472,14 +463,17 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
 
 
 def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:
-    """(dx dw sum |V|^r weight^r)^{1/r} over the lattice."""
+    """(dx dw sum |V|^r weight^r)^{1/r} over the lattice; rejects a norm
+    outside the float range, as the modulation norms do."""
     x = V.x_grid.nodes()[:, None]
     om = V.w_grid.nodes()[None, :]
     mag = np.abs(V.values)
     mag *= weight_eval(w, x, om)
     mag **= r
     acc = np.sum(mag)
-    return float((V.x_grid.step * V.w_grid.step * acc) ** (1.0 / r))
+    # the r = s mixed norm with the whole lattice as its one inner sum: with
+    # dw = 1 and the power s/r = 1, _mixed_norm takes the same root of it
+    return _mixed_norm(V.x_grid.step * V.w_grid.step * acc, 1.0, r, r)
 
 
 def tf_to_dict(V: TFMatrix) -> dict:

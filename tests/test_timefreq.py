@@ -10,10 +10,10 @@ from saftkit.engine import (dft_frequencies, make_plan, natural_freqs, saft_fast
 from saftkit.grid import (Grid, Signal, centered_grid, lr_norm, sample,
                           save_json)
 from saftkit.operators import a_modulate, a_translate, chirp
-from saftkit.params import (InputError, fourier_params, freq_scaled_weight,
-                            frft_params, make_params, pre_chirp, quad_chirp,
-                            radial_weight, sheared_weight, transported_weight,
-                            unit_weight, weight_eval)
+from saftkit.params import (InputError, WeightSpec, fourier_params,
+                            freq_scaled_weight, frft_params, make_params,
+                            pre_chirp, quad_chirp, radial_weight,
+                            transported_weight, unit_weight, weight_eval)
 from saftkit import timefreq
 from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               a_covariance_check, a_mod_norm,
@@ -67,9 +67,8 @@ def _stft_quadrature(f, g):
 
 
 @pytest.mark.parametrize("mode", ("cyclic", "compact"))
-# N = 600 takes TF_BLOCK_ENTRIES // 600 = 436 rows per block, so the last
-# block is partial; in compact mode N/2 and -3N/2 put some rows of a block
-# wholly in the zero padding, and 2N and -3N all of them.
+# In compact mode N/2 and -3N/2 put some rows of the table wholly in the
+# zero padding, and 2N and -3N all of them.
 @pytest.mark.parametrize("n", (15, 16, 17, 64, 97, 600))
 @pytest.mark.parametrize("origin", ("-N/2", "-N/2+3", "0", "-N", "2N", "-3N",
                                     "N/2", "-3N/2"))
@@ -261,9 +260,10 @@ def test_chirp_shear_transport_two_sided():
     g = gaussian_window(grid)
     s = 3 * (1.0 / grid.span) / grid.step
     m = radial_weight(1.0)
+    sheared = WeightSpec(1.0, (1.0, 0.0, -s, 1.0))  # m read at (x, w - s x)
     ratios = []
     for f in fam:
-        lhs = mod_norm(chirp(f, s), g, 2.0, 2.0, sheared_weight(m, s))
+        lhs = mod_norm(chirp(f, s), g, 2.0, 2.0, sheared)
         rhs = mod_norm(f, g, 2.0, 2.0, m)
         ratios.append(lhs / rhs)
     assert 0.2 <= min(ratios) and max(ratios) <= 5.0
@@ -325,8 +325,9 @@ def amod_cases(draw):
               "transported": transported_weight(ell, params),
               "freq_scaled": freq_scaled_weight(radial_weight(ell),
                                                 draw(st.floats(-3.0, 3.0))),
-              "sheared": sheared_weight(radial_weight(ell),
-                                        draw(st.floats(-3.0, 3.0)))}[kind]
+              # the radial weight read at (x, w - s x)
+              "sheared": WeightSpec(ell, (1.0, 0.0, -draw(st.floats(-3.0, 3.0)),
+                                          1.0))}[kind]
     r, s = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
     return params, f, g, 2.0 if kind == "unit, r = 2" else r, s, weight
 
@@ -598,12 +599,14 @@ def test_streamed_covariance_checks_equal_whole_table_checks(mode, n, origin):
 
 @pytest.mark.parametrize("mode", ("cyclic", "compact"))
 @pytest.mark.parametrize("n, k0", ((16, -8), (17, 5), (97, -200), (97, 40), (600, -300)))
+# buffers of 1, 7, 16, 64 and (rows = 0) N rows: 64 rows exceed N = 16, 17
 @pytest.mark.parametrize("rows, start", ((1, 0), (7, 3), (16, -1), (64, 11), (0, 5)))
 def test_stft_rows_from_a_cyclic_start_are_rows_of_the_table(mode, n, k0, rows, start):
     grid, f, g = _covariance_inputs(mode, n, k0, [n, rows, start % n])
     V = stft(f, g).values
     seen = []
-    for lo, block in timefreq._stft_rows(f, g, rows, start % n):
+    buf = np.empty((rows or n, n), dtype=complex)
+    for lo, block in timefreq._stft_rows(f, g, buf, start % n):
         m = (start + lo + np.arange(len(block))) % n
         assert np.array_equal(block, V[m])
         seen += m.tolist()
@@ -611,8 +614,9 @@ def test_stft_rows_from_a_cyclic_start_are_rows_of_the_table(mode, n, k0, rows, 
 
 
 def _whole_block_a_mod_norm(params, f, g, r, s, m):
-    """a_mod_norm's general path in blocks of TF_BLOCK_ENTRIES values, each
-    step making a fresh array."""
+    """a_mod_norm's general path in blocks of 2^18 values, eight times
+    TF_BLOCK_ENTRIES, so the two split the rows differently, each step
+    making a fresh array."""
     grid = f.grid
     n = grid.count
     k0 = grid.steps_of(grid.start, "")
@@ -626,7 +630,7 @@ def _whole_block_a_mod_norm(params, f, g, r, s, m):
     xj = x[(np.arange(n) + k0) % n]
     scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
-    rows = max(1, TF_BLOCK_ENTRIES // n)
+    rows = max(1, 2 ** 18 // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         block = np.multiply(windows[top - lo:top - hi:-1], U)
@@ -646,7 +650,7 @@ def test_a_mod_norm_cache_blocks_equal_whole_blocks(n, r, s):
     for params in (GENERIC, B_NEGATIVE):
         for m in (radial_weight(1.0), transported_weight(2.0, params), unit_weight()):
             if r == 2.0 and m.ell == 0:
-                continue  # the Parseval path, whose blocks did not change
+                continue  # the Parseval path, which this reference does not take
             assert (a_mod_norm(params, f, g, r, s, m)
                     == _whole_block_a_mod_norm(params, f, g, r, s, m))
 
@@ -659,12 +663,61 @@ def test_in_place_powers_keep_the_norms_bit_for_bit(r):
     m = radial_weight(1.0)
     x = grid.nodes()[:, None]
     w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
-    acc = np.zeros(grid.count)
-    for lo, block in timefreq._stft_rows(f, window_flip(g)):
-        acc += np.sum((np.abs(block) * weight_eval(m, x[lo:lo + len(block)], w)) ** r, axis=0)
+    V = stft(f, window_flip(g))
+    acc = np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r, axis=0)
     assert mod_norm(f, g, r, 2.0, m) == timefreq._mixed_norm(grid.step * acc,
                                                              1.0 / grid.span, r, 2.0)
     V = stft(f, g)
     acc = np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r)
     assert (weighted_tf_norm(V, m, r)
             == float((V.x_grid.step * V.w_grid.step * acc) ** (1.0 / r)))
+
+
+# One block up to 181; 600 and 1000 split into blocks of 54 and 32 rows and
+# 1536 into blocks of 21, each with a partial last block.  Compact mode
+# flips the window about 0, so it needs the symmetric grid, which is on the
+# step lattice only at odd N: it takes N + 1 nodes at even N.
+@pytest.mark.parametrize("n", (15, 181, 600, 1000, 1536))
+@pytest.mark.parametrize("mode, origin", (("cyclic", "-N/2+37"), ("cyclic", "N/3"),
+                                          ("compact", "symmetric")))
+def test_mod_norm_equals_the_whole_table_sum_bit_for_bit(n, mode, origin):
+    if mode == "compact":
+        n += 1 - n % 2
+    k0 = {"-N/2+37": 37 - n // 2, "N/3": n // 3, "symmetric": -(n // 2)}[origin]
+    grid, f, g = _covariance_inputs(mode, n, k0, [n, k0 % 1000, mode == "cyclic"])
+    m = radial_weight(1.0)
+    V = stft(f, window_flip(g))
+    mag = np.abs(V.values) * weight_eval(m, V.x_grid.nodes()[:, None],
+                                         V.w_grid.nodes()[None, :])
+    for r in (1.0, 2.0, 3.3):
+        inner = grid.step * np.sum(mag ** r, axis=0)
+        assert (mod_norm(f, g, r, 3.0, m)
+                == timefreq._mixed_norm(inner, V.w_grid.step, r, 3.0))
+
+
+@pytest.mark.parametrize("norm", (a_mod_norm, a_mod_norm_oracle),
+                         ids=("a_mod_norm", "a_mod_norm_oracle"))
+def test_twisted_norms_reject_compact_mode(norm):
+    # both twisted norms are cyclic convolutions: a compact-mode pair would
+    # get the cyclic value, 9e-5 away from the compact mod_norm side of the
+    # scaling identity here
+    n = 257
+    grid = Grid(-(n // 2) * 0.1, 0.1, n)
+    f = gaussian_mixture_family(grid, 1, 86)[0]
+    g = gaussian_window(grid)
+    args = (2.0, 3.0, radial_weight(1.0))
+    assert np.isfinite(norm(GENERIC, f, g, *args))
+    fc, gc = (Signal(grid, h.samples, "compact") for h in (f, g))
+    assert np.isfinite(mod_norm(fc, gc, *args))
+    with pytest.raises(InputError, match="must be in cyclic mode"):
+        norm(GENERIC, fc, gc, *args)
+
+
+def test_weighted_tf_norm_rejects_a_norm_outside_the_float_range():
+    grid = centered_grid(10.0, 64)
+    f = gaussian_mixture_family(grid, 1, 87)[0]
+    g = gaussian_window(grid)
+    assert np.isfinite(weighted_tf_norm(stft(f, g), unit_weight(), 2.0))
+    V = stft(f.with_samples(1e200 * f.samples), g)
+    with pytest.raises(InputError, match="is not finite in floating point"):
+        weighted_tf_norm(V, unit_weight(), 2.0)
