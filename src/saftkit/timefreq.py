@@ -26,9 +26,13 @@ the same operations in the same operand order as on a whole table, and
 each reduction is one whose bits do not depend on the split (a maximum, a
 sum along a row, or mod_norm's column sums carried down the rows in
 order), so the results are the whole-table ones bit for bit (a_mod_norm's
-Parseval matvec aside: see there).  Two functions take whole tables:
-saft_stft_identity_check, whose lattice map moves entries across rows and
-columns, and weighted_tf_norm, which reduces a TFMatrix.
+Parseval matvec aside: see there).  saft_stft_identity_max keeps two
+real N x N tables, |V_g f| and its row-shifted copy, because the lattice
+map moves entries across rows; weighted_stft_norms reduces STFT row
+blocks to block sums that it adds in numpy's pairwise order, which is
+bit for bit at power-of-two N.  Their whole-table references,
+saft_stft_identity_check and weighted_tf_norm (which reduces a TFMatrix),
+stay as they are.
 """
 
 from __future__ import annotations
@@ -292,6 +296,30 @@ def a_covariance_check(params: SaftParams, f: Signal, g: Signal,
     return _streamed_check(f, g, -m_shift % grid.count, (shifted, g), phase, k_shift)
 
 
+def _identity_matrix(params: SaftParams, grid: Grid) -> tuple[int, int, int, int]:
+    """The integer (a, b, c, d) of the transform-domain STFT identity, after
+    checking that the map carries the lattice of grid into itself."""
+    ints = [params.a, params.b, params.c, params.d]
+    if not all(near_integer(v) for v in ints):
+        raise InputError("identity check needs integer matrix parameters")
+    ai, bi, ci, di = (int(round(v)) for v in ints)
+    if abs(bi) != 1:
+        raise InputError("identity check needs |b| = 1")
+    n = grid.count
+    if not grid.same_as(centered_grid(np.sqrt(n * abs(params.b)) / 2.0, n)):
+        raise InputError("identity check needs a self-dual centred grid: "
+                         "N dt^2 = |b| and t0 = -N dt / 2")
+    return ai, bi, ci, di
+
+
+def _transformed_pair(params: SaftParams, f: Signal, g: Signal) -> tuple[Signal, Signal]:
+    """(Ff, Fg) as cyclic signals on the induced frequency grid."""
+    F = saft(params, f)
+    G = saft(params, g)
+    return (Signal(F.freq_grid, F.samples, "cyclic"),
+            Signal(G.freq_grid, G.samples, "cyclic"))
+
+
 def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     """Relative magnitude deviation in the transform-domain STFT identity
 
@@ -300,24 +328,46 @@ def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
     Needs integer a, b, c, d with |b| = 1 and a self-dual centred grid
     (N dt^2 = |b|, t0 = -N dt / 2, tested with Grid.same_as) so the map
     carries the lattice into itself; incompatible inputs are rejected.
+    Built from whole tables: the reference for saft_stft_identity_max.
     """
-    ints = [params.a, params.b, params.c, params.d]
-    if not all(near_integer(v) for v in ints):
-        raise InputError("identity check needs integer matrix parameters")
-    ai, bi, ci, di = (int(round(v)) for v in ints)
-    if abs(bi) != 1:
-        raise InputError("identity check needs |b| = 1")
-    n = f.grid.count
-    if not f.grid.same_as(centered_grid(np.sqrt(n * abs(params.b)) / 2.0, n)):
-        raise InputError("identity check needs a self-dual centred grid: "
-                         "N dt^2 = |b| and t0 = -N dt / 2")
-    F = saft(params, f)
-    G = saft(params, g)
-    Fs = Signal(F.freq_grid, F.samples, "cyclic")
-    Gs = Signal(G.freq_grid, G.samples, "cyclic")
-    VA = np.abs(stft(Fs, Gs).values)
+    ai, bi, ci, di = _identity_matrix(params, f.grid)
+    VA = np.abs(stft(*_transformed_pair(params, f, g)).values)
     V0 = np.abs(stft(f, g).values)
     return _relative(VA - _lattice_map(V0, ai, bi, ci, di), V0)
+
+
+def saft_stft_identity_max(param_sets, f: Signal, g: Signal) -> float:
+    """max(saft_stft_identity_check(p, f, g) for p in param_sets), bit for bit,
+    with two real N x N tables and no complex one.
+
+    |V_g f| is made once, in row blocks, and shared by every set.  Per set,
+    the lattice map's first pass of row shifts (which moves entries across
+    rows) fills the second real table W; V_{Fg}(Ff) is then read in row
+    blocks, and each block of the map's second pass is the matching rows of
+    W^T shifted, so both sides meet block by block.  Every entry gets the
+    operations it gets on whole tables, and the check keeps maxima only.
+    """
+    mats = [_identity_matrix(p, f.grid) for p in param_sets]
+    n = f.grid.count
+    rows = _block_rows(n)
+    buf = np.empty((rows, n), dtype=complex)
+    V0 = np.empty((n, n))
+    for lo, block in _stft_rows(f, g, buf):
+        np.abs(block, out=V0[lo:lo + len(block)])
+    peak = np.max(V0)
+    centred = np.arange(n) - n // 2
+    W, mag, mapped = np.empty((n, n)), np.empty((rows, n)), np.empty((rows, n))
+    out = []
+    for params, (ai, bi, ci, di) in zip(param_sets, mats):
+        _shift_rows(V0, bi, -ai * bi * centred, W)  # W[u, i] = V0[u, b i - a b u]
+        devs = []
+        for lo, block in _stft_rows(*_transformed_pair(params, f, g), buf):
+            hi = lo + len(block)
+            dev = np.abs(block, out=mag[:hi - lo])
+            dev -= _shift_rows(W.T[lo:hi], -bi, di * centred[lo:hi], mapped[:hi - lo])
+            devs.append(np.max(np.abs(dev, out=dev)))
+        out.append(_relative(devs, peak))
+    return max(out)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +524,46 @@ def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:
     # the r = s mixed norm with the whole lattice as its one inner sum: with
     # dw = 1 and the power s/r = 1, _mixed_norm takes the same root of it
     return _mixed_norm(V.x_grid.step * V.w_grid.step * acc, 1.0, r, r)
+
+
+def _pairwise_total(sums: list) -> float:
+    """Sum of equal-size block sums by halving, as numpy's pairwise
+    summation adds the halves of a contiguous array whose length is a
+    power-of-two multiple of the block size."""
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _pairwise_total(sums[:half]) + _pairwise_total(sums[half:])
+
+
+def weighted_stft_norms(f: Signal, g: Signal, weights, r: float) -> list:
+    """[weighted_tf_norm(stft(f, g), w, r) for w in weights], from one stream
+    of STFT row blocks and no N x N table.
+
+    |V| is taken once per block and every weight reduces that block to one
+    sum, added up by _pairwise_total.  When N is a power of two the blocks
+    are nodes of numpy's pairwise summation tree over the whole table, so
+    each norm is weighted_tf_norm's bit for bit; at other N the last bits
+    can differ.
+    """
+    grid = f.grid
+    n = grid.count
+    w_grid = spectrum_grid(fourier_params(), grid)
+    x = grid.nodes()[:, None]
+    om = w_grid.nodes()[None, :]
+    rows = _block_rows(n)
+    buf, mag, wmag = (np.empty((rows, n), dtype=complex), np.empty((rows, n)),
+                      np.empty((rows, n)))
+    sums = [[] for _ in weights]
+    for lo, block in _stft_rows(f, g, buf):
+        hi = lo + len(block)
+        vabs = np.abs(block, out=mag[:hi - lo])
+        for w, acc in zip(weights, sums):
+            term = np.multiply(vabs, weight_eval(w, x[lo:hi], om), out=wmag[:hi - lo])
+            term **= r
+            acc.append(np.sum(term))
+    return [_mixed_norm(grid.step * w_grid.step * _pairwise_total(acc), 1.0, r, r)
+            for acc in sums]
 
 
 def tf_to_dict(V: TFMatrix) -> dict:

@@ -20,9 +20,11 @@ from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
                               a_mod_norm_oracle,
                               chirp_stft_covariance_check, gaussian_window,
                               mod_norm, raised_cosine_window,
-                              saft_stft_identity_check, stft, tf_to_dict,
+                              saft_stft_identity_check, saft_stft_identity_max,
+                              stft, tf_to_dict, weighted_stft_norms,
                               weighted_tf_norm, window_flip)
 from saftkit.families import gaussian_mixture_family
+from saftkit.verify import LATTICE_SETS, SELF_DUAL_GRID
 from strategies import cases
 
 GENERIC = make_params(1, 2, -2, -3, 0.3, -0.2)
@@ -215,6 +217,111 @@ def test_saft_stft_identity_grid_rule_is_grid_same_as():
     with pytest.raises(InputError, match="self-dual centred grid"):
         saft_stft_identity_check(fourier_params(), Signal(far, f.samples, "cyclic"),
                                  Signal(far, g.samples, "cyclic"))
+
+
+@pytest.mark.parametrize("seed", (1, 7, 42))
+def test_saft_stft_identity_max_is_the_whole_table_check_bit_for_bit(seed):
+    # the battery's T1.13 inputs at this seed
+    f, g = gaussian_mixture_family(SELF_DUAL_GRID, 2, seed + 2)
+    devs = [saft_stft_identity_check(p, f, g) for p in LATTICE_SETS]
+    for p, dev in zip(LATTICE_SETS, devs):
+        assert saft_stft_identity_max([p], f, g) == dev
+    assert saft_stft_identity_max(LATTICE_SETS, f, g) == max(devs)
+
+
+@pytest.mark.parametrize("n", (100, 128))
+def test_saft_stft_identity_max_matches_on_every_sign_of_b(n):
+    """b = -1 reverses the second pass of the lattice map, so each block of
+    it reads W^T's rows backwards."""
+    f, g = gaussian_mixture_family(_self_dual_grid(n), 2, 70)
+    sets = [make_params(*abcd) for abcd in ((0, 1, -1, 0), (1, 1, 0, 1),
+                                            (0, -1, 1, 0), (1, -1, 0, 1),
+                                            (2, 1, 1, 1))]
+    for p in sets:
+        assert saft_stft_identity_max([p], f, g) == saft_stft_identity_check(p, f, g)
+
+
+def test_saft_stft_identity_max_zero_signal_and_rejections():
+    grid = _self_dual_grid(128)
+    g = gaussian_window(grid)
+    z = Signal(grid, np.zeros(128), "cyclic")
+    assert saft_stft_identity_max([fourier_params()], z, g) == 0.0
+    f = gaussian_mixture_family(grid, 1, 68)[0]
+    with pytest.raises(InputError, match="integer matrix"):
+        saft_stft_identity_max([fourier_params(), frft_params(0.7)], f, g)
+    bad_grid = centered_grid(10.0, 128)
+    f2, g2 = gaussian_mixture_family(bad_grid, 2, 68)
+    with pytest.raises(InputError, match="self-dual centred grid"):
+        saft_stft_identity_max([fourier_params()], f2, g2)
+
+
+def _weight_transport_pairs():
+    """The battery's T2.21 pairs: (f, g) on the self-dual grid with the
+    radial weights, then (Ff, Fg) with the transported weights per set."""
+    fsd = sample(lambda t: np.exp(-np.pi * (t - 0.4) ** 2)
+                 * np.exp(2j * np.pi * 0.7 * t), SELF_DUAL_GRID, "cyclic")
+    gsd = sample(lambda t: np.exp(-np.pi * t * t), SELF_DUAL_GRID, "cyclic")
+    out = [(fsd, gsd, [radial_weight(ell) for ell in (0, 1, 2)])]
+    for p in LATTICE_SETS:
+        F, G = (saft_fast(make_plan(p, SELF_DUAL_GRID), h) for h in (fsd, gsd))
+        out.append((Signal(F.freq_grid, F.samples, "cyclic"),
+                    Signal(G.freq_grid, G.samples, "cyclic"),
+                    [transported_weight(ell, p) for ell in (0, 1, 2)]))
+    return out
+
+
+def test_weighted_stft_norms_are_the_battery_norms_bit_for_bit():
+    seen = 0
+    for f, g, weights in _weight_transport_pairs():
+        V = stft(f, g)
+        for w, norm in zip(weights, weighted_stft_norms(f, g, weights, 2.0)):
+            assert norm == weighted_tf_norm(V, w, 2.0)
+            seen += 1
+    assert seen == 9
+
+
+@pytest.mark.parametrize("n", (16, 64, 256, 1024))
+@pytest.mark.parametrize("r", (1.0, 2.0, 3.3))
+def test_weighted_stft_norms_bit_for_bit_at_powers_of_two(n, r):
+    grid = Grid(-(n // 2 + 3) * 0.5, 0.5, n)  # three steps off centre
+    f = gaussian_mixture_family(grid, 1, 88)[0]
+    g = gaussian_window(grid)
+    weights = [unit_weight(), radial_weight(1.5), WeightSpec(2.0, (1, 0, -0.5, 1))]
+    V = stft(f, g)
+    assert weighted_stft_norms(f, g, weights, r) == [weighted_tf_norm(V, w, r)
+                                                     for w in weights]
+
+
+@pytest.mark.parametrize("n", (15, 181, 600))
+def test_weighted_stft_norms_round_alike_at_other_sizes(n):
+    grid = Grid(-(n // 2) * 0.1, 0.1, n)
+    f = gaussian_mixture_family(grid, 1, 89)[0]
+    g = gaussian_window(grid)
+    weights = [unit_weight(), radial_weight(2.0)]
+    V = stft(f, g)
+    for norm, w in zip(weighted_stft_norms(f, g, weights, 2.0), weights):
+        assert norm == pytest.approx(weighted_tf_norm(V, w, 2.0), rel=1e-13, abs=0)
+
+
+def test_weighted_stft_norms_make_no_whole_table():
+    f, g, weights = _weight_transport_pairs()[0]
+    n = f.grid.count
+    tracemalloc.start()
+    try:
+        weighted_stft_norms(f, g, weights, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n  # one complex N x N table
+
+
+def test_weighted_stft_norms_reject_a_norm_outside_the_float_range():
+    grid = centered_grid(10.0, 64)
+    f = gaussian_mixture_family(grid, 1, 87)[0]
+    g = gaussian_window(grid)
+    with np.errstate(over="ignore"), pytest.raises(
+            InputError, match="is not finite in floating point"):
+        weighted_stft_norms(f.with_samples(1e200 * f.samples), g, [unit_weight()], 2.0)
 
 
 def test_mod_norm_moyal_case():
