@@ -3,7 +3,9 @@
 The oracle is O(N^2) and the fast path O(N log N); the growth factors per
 size doubling (about 4x vs 2x) are the complexity signature the scaling
 check asserts.  Oracle timings are capped at N <= 4096 as a matter of
-policy; larger sizes report the fast path only.
+policy; larger sizes report the fast path only.  Every time is in CPU
+seconds of the calling thread (time.thread_time), so other threads and
+processes do not enter it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ ORACLE_CAP = 4096
 
 
 def _time_call(fn, repeats: int, min_time: float = 2e-3) -> float:
-    """Median of `repeats` measurements; each measurement loops the call
-    until it exceeds min_time so FFT-scale work is resolvable."""
+    """Median of `repeats` measurements, each looping the call until the
+    calling thread's CPU time exceeds min_time, so FFT-scale work resolves."""
     times = []
     for _ in range(repeats):
         loops = 0
-        start = time.perf_counter()
+        start = time.thread_time()
         while True:
             fn()
             loops += 1
-            elapsed = time.perf_counter() - start
+            elapsed = time.thread_time() - start
             if elapsed >= min_time:
                 break
         times.append(elapsed / loops)
@@ -37,7 +39,7 @@ def _time_call(fn, repeats: int, min_time: float = 2e-3) -> float:
 
 
 def run_bench(params: SaftParams, sizes, repeats: int = 5) -> list[dict]:
-    """Wall time per transform for each size; oracle skipped above the cap."""
+    """Time per transform (see _time_call) for each size; no oracle above the cap."""
     if repeats < 1:
         raise InputError("repeats must be at least 1")
     sizes = list(sizes)

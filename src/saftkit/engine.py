@@ -30,11 +30,14 @@ forward step into blocks of index ranges and inverts each; neither
 touches post.
 
 The inverse step works in place: ifft(row, out=row), then row *= conj(pre).
-A multi-row call (project_ranges) at N >= SPLIT_MIN_POINTS splits its rows
-across the CPUs this process may use; numpy's FFT and the multiply release
-the GIL, and every row gets the same calls, so the output is the same bit
-for bit.  Each helper thread keeps pocketfft's scratch in its own malloc
-arena, about 3 MB at N = 2^16 and 13 MB at 2^18 per helper.
+
+One block rule and one runner serve the whole library.  Every kernel that
+works through an N x N quantity (the oracle, the heat-kernel quadrature,
+every time-frequency kernel) takes blocks of block_rows(N) rows, at most
+BLOCK_ENTRIES values each.  side_by_side is the one place that starts
+helper threads: for _inverse's rows from N = SPLIT_MIN_POINTS on (numpy's
+FFT and multiply release the GIL) and for run_verify's tiers.  Each helper
+runs in a copy of the caller's context, so np.errstate carries over.
 
 make_plan is memoised on (params, grid) by functools.lru_cache: it keeps
 the PLAN_CACHE_PLANS most recently used plans, so repeated one-shot calls
@@ -46,6 +49,7 @@ read-only, so no caller can change a shared plan.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from dataclasses import dataclass, field
@@ -56,7 +60,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import Grid, Signal, Spectrum, near_integer
 from .params import InputError, SaftParams, post_chirp
 
-_ORACLE_CHUNK = 256
 # make_plan keeps at most this many plans and drops the least recently used
 # first.  A plan whose two tables (32 N bytes) are larger than the byte
 # budget's share of one plan (8 MiB, so N > 2^18) is built but not kept, so
@@ -67,6 +70,10 @@ PLAN_CACHE_BYTES = 64 * 2 ** 20
 # points per row on.  Starting a helper costs about 0.5 ms, which the split
 # wins back from 2^14 points on (BENCH_lp_split.json holds the crossover).
 SPLIT_MIN_POINTS = 2 ** 14
+# A kernel that works through an N x N quantity takes blocks of rows of at
+# most this many complex values (512 KiB per buffer, 64 rows at N = 512), so
+# the few buffers each keeps stay in a core's L2 cache.
+BLOCK_ENTRIES = 2 ** 15
 
 
 def dft_frequencies(grid: Grid) -> np.ndarray:
@@ -145,11 +152,35 @@ def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
     return np.fft.fft(plan.pre * f.samples)
 
 
+def block_rows(n: int) -> int:
+    """Rows of N values in a block of at most BLOCK_ENTRIES, at least one."""
+    return min(n, max(1, BLOCK_ENTRIES // n))
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def side_by_side(*tasks) -> list:
+    """Run each task (a callable of no arguments); their results in order.
+
+    From two tasks and two CPUs on, the first task runs on the calling
+    thread and each other one on a helper thread in a copy of the caller's
+    context; otherwise all run in order on the calling thread.  A task's
+    exception is raised after every helper has finished.
+    """
+    if len(tasks) < 2 or _cpus() < 2:
+        return [task() for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+    first, *rest = tasks
+    with ThreadPoolExecutor(len(rest)) as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, task)
+                   for task in rest]
+        head = first()
+    return [head] + [helper.result() for helper in helpers]
 
 
 def _invert_rows(rows: np.ndarray, unpre: np.ndarray) -> None:
@@ -162,26 +193,18 @@ def _inverse(plan: SaftPlan, rows: np.ndarray) -> np.ndarray:
     """The inverse step, in place: each row becomes ifft(row) * conj(pre).
 
     rows is one spectrum in FFT order or a (k, N) array of them.  With at
-    least two rows and N >= SPLIT_MIN_POINTS, the rows are cut into
-    min(CPUs, k) contiguous parts: the calling thread inverts the first
-    and one helper thread each of the others.  Each row gets the same
+    least two rows and N >= SPLIT_MIN_POINTS, side_by_side inverts
+    min(CPUs, k) contiguous parts of them at once; each row gets the same
     calls either way, so the output does not depend on the split.  Each
-    helper keeps its own malloc arena holding pocketfft's scratch buffer,
-    so peak memory rises with the CPU count.
+    helper keeps pocketfft's scratch in its own malloc arena, about 3 MB at
+    N = 2^16 and 13 MB at 2^18, so peak memory rises with the CPU count.
     """
     unpre = np.conjugate(plan.pre)
     table = np.atleast_2d(rows)
-    parts = min(_cpus(), len(table))
-    if parts < 2 or table.shape[1] < SPLIT_MIN_POINTS:
-        _invert_rows(table, unpre)
-        return rows
-    from concurrent.futures import ThreadPoolExecutor
-    first, *rest = np.array_split(table, parts)
-    with ThreadPoolExecutor(len(rest)) as pool:
-        helpers = [pool.submit(_invert_rows, part, unpre) for part in rest]
-        _invert_rows(first, unpre)
-    for helper in helpers:
-        helper.result()
+    parts = [table]
+    if table.shape[1] >= SPLIT_MIN_POINTS and len(table) > 1:
+        parts = np.array_split(table, min(_cpus(), len(table)))
+    side_by_side(*(functools.partial(_invert_rows, part, unpre) for part in parts))
     return rows
 
 
@@ -203,7 +226,7 @@ def saft_oracle(params: SaftParams, f: Signal) -> Spectrum:
     """O(N^2) ground truth: the raw quadrature of the defining integral.
 
     Evaluates the full kernel exp(i pi/b (a t^2 + 2 p t - 2 w t + 2 W w
-    + d w^2)) term by term (chunked over frequency rows); shares no code
+    + d w^2)) term by term (in blocks of frequency rows); shares no code
     with the fast path beyond the grid layout.  The one-signal case of
     saft_oracle_family, which makes the kernel once for several signals.
     """
@@ -213,7 +236,7 @@ def saft_oracle(params: SaftParams, f: Signal) -> Spectrum:
 def saft_oracle_family(params: SaftParams, signals) -> list[Spectrum]:
     """saft_oracle of each signal of a family on one grid, the kernel made once.
 
-    Each chunk of _ORACLE_CHUNK kernel rows is evaluated once, by the
+    Each block of block_rows(N) kernel rows is evaluated once, by the
     quadrature's own expression, and applied to every signal by its own
     matrix-vector product, so each spectrum is bit for bit the one
     saft_oracle gives that signal alone; a family of three takes a third
@@ -231,13 +254,14 @@ def saft_oracle_family(params: SaftParams, signals) -> list[Spectrum]:
     d, W = params.d, params.omega0
     vals = [np.empty(grid.count, dtype=complex) for _ in signals]
     base = a * t * t + 2.0 * p * t
-    for lo in range(0, grid.count, _ORACLE_CHUNK):
-        wk = w_nat[lo:lo + _ORACLE_CHUNK, None]
+    rows = block_rows(grid.count)
+    for lo in range(0, grid.count, rows):
+        wk = w_nat[lo:lo + rows, None]
         phase = np.exp(1j * np.pi / b
                        * (base[None, :] - 2.0 * wk * t[None, :]
                           + 2.0 * W * wk + d * wk * wk))
         for out, f in zip(vals, signals):
-            out[lo:lo + _ORACLE_CHUNK] = phase @ f.samples
+            out[lo:lo + rows] = phase @ f.samples
     freq_grid = spectrum_grid(params, grid)
     for out in vals:
         out *= grid.step / np.sqrt(abs(b))
@@ -391,8 +415,9 @@ def heat_evolve(params: SaftParams, g: Signal, t: float,
         rows = sliding_window_view(np.exp(-m * m / (4.0 * t)), n)
         gy = (np.exp(1j * np.pi * rate * y * y) * g.samples).view(float).reshape(n, 2)
         out = np.empty(n, dtype=complex)
-        for lo in range(0, n, _ORACLE_CHUNK):
-            i = np.arange(lo, min(lo + _ORACLE_CHUNK, n))
+        step = block_rows(n)
+        for lo in range(0, n, step):
+            i = np.arange(lo, min(lo + step, n))
             out[lo:lo + i.size] = (rows[n - 1 - i] @ gy).view(complex).ravel()
         out *= np.exp(-1j * np.pi * rate * y * y) * (dt / np.sqrt(4.0 * np.pi * t))
         return g.with_samples(out)

@@ -18,8 +18,8 @@ on independent kernels: a_mod_norm works on the frequency side (inverse
 FFTs of spectrum products, or at r = 2 their Parseval sums), mod_norm on
 the time side (FFTs of windowed products), which is what makes their
 scaling identity a test.
-Every kernel that reduces an N x N quantity streams it in row blocks of
-at most TF_BLOCK_ENTRIES values, so it runs at any N in bounded memory;
+Every kernel that reduces an N x N quantity streams it in blocks of
+engine.block_rows(N) rows, so it runs at any N in bounded memory;
 _stft_rows fills a buffer its caller owns, and STFT_MAX_COUNT bounds only
 stft, which hands it the whole N x N table as one block.  Each entry gets
 the same operations in the same operand order as on a whole table, and
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .aconv import aconv_fast
-from .engine import dft_frequencies, natural_freqs, saft, spectrum_grid
+from .engine import block_rows, dft_frequencies, natural_freqs, saft, spectrum_grid
 from .grid import (Grid, Signal, _pairs, _require_same_grid, centered_grid,
                    lr_norm, near_integer, raised_cosine)
 from .operators import a_modulate, a_translate, chirp, involution
@@ -53,10 +53,6 @@ from .params import (InputError, SaftParams, WeightSpec, fourier_params,
 # stft returns a dense N x N complex table: 256 MiB at this limit.  The
 # norms never build it, so the limit does not apply to them.
 STFT_MAX_COUNT = 4096
-# Every streaming kernel works in blocks of rows of at most this many complex
-# values (512 KiB per buffer, 64 rows at N = 512), so the few buffers each
-# keeps stay in a core's L2 cache.
-TF_BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -214,15 +210,10 @@ def _lattice_map(V: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
     return _shift_rows(W.T, -b, d * centred)
 
 
-def _block_rows(n: int) -> int:
-    """Rows of N values in a block of at most TF_BLOCK_ENTRIES, at least one."""
-    return min(n, max(1, TF_BLOCK_ENTRIES // n))
-
-
 def _streamed_check(f: Signal, g: Signal, start: int, lhs: tuple[Signal, Signal],
                     phase: np.ndarray, shifts) -> float:
     """_relative(V_{g'} f' - phase * S(V_g f), V_g f) for the pair
-    lhs = (f', g'), in paired row blocks of _block_rows(N) rows: V_g f from
+    lhs = (f', g'), in paired row blocks of block_rows(N) rows: V_g f from
     the cyclic start row `start`, the left side from row 0.  S rolls block
     row m left by shifts[m] on the centred columns, or every row by the one
     int shifts; phase broadcasts against the N x N table.
@@ -233,7 +224,7 @@ def _streamed_check(f: Signal, g: Signal, start: int, lhs: tuple[Signal, Signal]
     are split or in which order they come.
     """
     n = f.grid.count
-    v0_buf, lhs_buf, rhs_buf = (np.empty((_block_rows(n), n), dtype=complex)
+    v0_buf, lhs_buf, rhs_buf = (np.empty((block_rows(n), n), dtype=complex)
                                 for _ in range(3))
     phase = np.broadcast_to(phase, (n, n))
     devs, peaks = [], []
@@ -349,7 +340,7 @@ def saft_stft_identity_max(param_sets, f: Signal, g: Signal) -> float:
     """
     mats = [_identity_matrix(p, f.grid) for p in param_sets]
     n = f.grid.count
-    rows = _block_rows(n)
+    rows = block_rows(n)
     buf = np.empty((rows, n), dtype=complex)
     V0 = np.empty((n, n))
     for lo, block in _stft_rows(f, g, buf):
@@ -418,7 +409,7 @@ def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
     x = grid.nodes()[:, None]
     w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
     acc = np.zeros(n)
-    buf = np.empty((_block_rows(n), n), dtype=complex)
+    buf = np.empty((block_rows(n), n), dtype=complex)
     for lo, block in _stft_rows(f, window_flip(g), buf):
         mag = np.abs(block)
         mag *= weight_eval(m, x[lo:lo + len(block)], w)
@@ -444,7 +435,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     Parseval, sum_j |G_shift|^2 |U_j|^2 / N, so that case takes the same
     strided view of the tripled |G|^2 times |U|^2 / N as one real matvec
     per block, and makes no inverse FFT.
-    Both paths run blocks of _block_rows(N) rows, so memory stays bounded
+    Both paths run blocks of block_rows(N) rows, so memory stays bounded
     at any N; the general path runs them through one complex and one real
     buffer, in place.  Each row's sum is along the row, so it does not
     depend on the split, except that numpy takes a one-row Parseval block's
@@ -473,7 +464,7 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     xj = x[(np.arange(n) + k0) % n]
     scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
-    rows = _block_rows(n)
+    rows = block_rows(n)
     if not parseval:
         buf, mag = np.empty((rows, n), dtype=complex), np.empty((rows, n))
     for lo in range(0, n, rows):
@@ -551,7 +542,7 @@ def weighted_stft_norms(f: Signal, g: Signal, weights, r: float) -> list:
     w_grid = spectrum_grid(fourier_params(), grid)
     x = grid.nodes()[:, None]
     om = w_grid.nodes()[None, :]
-    rows = _block_rows(n)
+    rows = block_rows(n)
     buf, mag, wmag = (np.empty((rows, n), dtype=complex), np.empty((rows, n)),
                       np.empty((rows, n)))
     sums = [[] for _ in weights]

@@ -15,7 +15,6 @@ their own fixed parameter sets and grids.
 
 from __future__ import annotations
 
-import contextvars
 import json
 from dataclasses import dataclass, field
 
@@ -490,18 +489,14 @@ def run_verify(params: SaftParams, size: int = 512, seed: int = 42,
                tiers=(1, 2, 3), include_bench: bool = True) -> VerifyReport:
     """Run the battery at the given size with deterministic seeded inputs.
 
-    Tier 1 runs on the calling thread.  When tier 1 and a later tier are
-    both asked for and the process may run on two CPUs or more
-    (engine._cpus), one helper thread runs tier 2 and then tier 3 meanwhile,
-    in a copy of the caller's context, so np.errstate and every other
-    context variable carry over; its exception, if any, is raised here.
-    Otherwise the tiers run one after the other on the calling thread.
-    Either way the report lists the checks in tier order with the same
-    values: each check is deterministic, and the tiers share nothing but
+    Tier 1 and the later tiers asked for (tier 2, then tier 3) are two tasks
+    of engine.side_by_side, so they run side by side from two CPUs on.  The
+    report lists the checks in tier order with the same values either way:
+    each check is deterministic, and the tiers share nothing but
     make_plan's read-only plans.  The T3.25 timing check, when asked for,
-    runs last and alone, after the helper has joined, so nothing else runs
-    while it times.  tier1, tier2 and tier3 are looked up by name at each
-    call, so a wrapper bound in their place (perfbench's tracer) sees them.
+    runs last and alone, after the helper has joined.  tier1, tier2 and
+    tier3 are looked up by name at each call, so a wrapper bound in their
+    place (perfbench's tracer) sees them.
     """
     if size not in VALID_SIZES:
         raise InputError(f"size must be one of {VALID_SIZES}")
@@ -509,24 +504,11 @@ def run_verify(params: SaftParams, size: int = 512, seed: int = 42,
         raise InputError(f"tiers must be among 1, 2 and 3, got {tuple(tiers)}")
     report = VerifyReport(params.as_dict(), size, seed)
 
-    def later_tiers() -> list:
-        checks = []
-        if 2 in tiers:
-            checks.extend(tier2(params, size, seed))
-        if 3 in tiers:
-            checks.extend(tier3(params, size, seed))
-        return checks
-
-    if 1 in tiers and set(tiers) != {1} and engine._cpus() >= 2:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) as pool:
-            helper = pool.submit(contextvars.copy_context().run, later_tiers)
-            report.checks.extend(tier1(params, size, seed))
-        report.checks.extend(helper.result())
-    else:
-        if 1 in tiers:
-            report.checks.extend(tier1(params, size, seed))
-        report.checks.extend(later_tiers())
+    tasks = [lambda: tier1(params, size, seed)] if 1 in tiers else []
+    if set(tiers) != {1}:
+        tasks.append(lambda: (tier2(params, size, seed) if 2 in tiers else [])
+                     + (tier3(params, size, seed) if 3 in tiers else []))
+    report.checks.extend(c for part in engine.side_by_side(*tasks) for c in part)
     if 3 in tiers and include_bench:
         report.checks.append(_scaling_check(params))
     return report

@@ -4,11 +4,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import saftkit
+from saftkit import engine
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
 from saftkit.aconv import aconv_fast
 from saftkit.engine import heat_evolve, make_plan, saft_fast
@@ -300,6 +302,27 @@ def test_cli_process_prints_one_error_line_and_no_numpy_warning(argv, named, tmp
     prefix = f"saftkit {argv[0]}: error: " + (f"{named}: " if named else "")
     assert len(lines) == 1 and lines[0].startswith(prefix), run.stderr
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "o.csv").exists()
+
+
+def test_cli_lp_split_inverse_prints_one_error_line_and_no_warning(tmp_path,
+                                                                 monkeypatch,
+                                                                 capsys):
+    # the split inverse step's helper runs in main's numpy error state, so
+    # the overflow warns on no thread and the writer's refusal is the one line
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    grid = centered_grid(10.0, 2 ** 14)
+    rng = np.random.default_rng(5)
+    path, out = str(tmp_path / "f.json"), str(tmp_path / "blocks.json")
+    save_signal(Signal(grid, 1e306 * (rng.standard_normal(grid.count)
+                                      + 1j * rng.standard_normal(grid.count)),
+                       "cyclic"), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["lp", "--in", path, "--out", out])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith(f"saftkit lp: error: {out}: ")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_young_failed_inequality_exits_1(signal_file, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import concurrent.futures
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -447,6 +449,67 @@ def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
     apply_symbol(plan, f, np.ones(large.count))
 
 
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_split_inverse_runs_in_the_callers_error_state(cpus, monkeypatch):
+    # with two CPUs the second row is the helper's part
+    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+    plan = make_plan(GENERIC, centered_grid(10.0, engine.SPLIT_MIN_POINTS))
+    rows = np.ones((2, plan.grid.count), dtype=complex)
+    rows[1, 7] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        engine._inverse(plan, rows)
+
+
+def _recording(seen, value, delay=0.0):
+    """A task that sleeps for delay, records its thread in seen and returns value."""
+    def task():
+        time.sleep(delay)
+        seen.append((value, threading.current_thread()))
+        return value
+    return task
+
+
+def test_side_by_side_returns_results_in_task_order(monkeypatch):
+    monkeypatch.setattr(engine, "_cpus", lambda: 3)
+    seen = []
+    tasks = (_recording(seen, "a", 0.05), _recording(seen, "b", 0.1),
+             _recording(seen, "c"))
+    assert engine.side_by_side(*tasks) == ["a", "b", "c"]
+    threads = dict(seen)
+    assert threads["a"] is threading.main_thread()
+    assert threading.main_thread() not in (threads["b"], threads["c"])
+
+
+def _fail():
+    raise RuntimeError("task failed")
+
+
+@pytest.mark.parametrize("where", (0, 1, 2))
+def test_side_by_side_raises_after_every_task_finished(where, monkeypatch):
+    # where = 0 fails on the calling thread, 1 and 2 on a helper
+    monkeypatch.setattr(engine, "_cpus", lambda: 3)
+    seen = []
+    tasks = [_recording(seen, k, 0.05) for k in range(2)]
+    tasks.insert(where, _fail)
+    with pytest.raises(RuntimeError, match="task failed"):
+        engine.side_by_side(*tasks)
+    assert sorted(value for value, _ in seen) == [0, 1]
+
+
+@pytest.mark.parametrize("cpus, count", ((4, 0), (4, 1), (1, 3)))
+def test_side_by_side_starts_no_thread_for_one_task_or_one_cpu(cpus, count,
+                                                               monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    seen = []
+    tasks = [_recording(seen, k) for k in range(count)]
+    assert engine.side_by_side(*tasks) == list(range(count))
+    assert seen == [(k, threading.main_thread()) for k in range(count)]
+
+
 def test_project_ranges_rejects_a_plan_for_another_grid():
     plan = make_plan(GENERIC, centered_grid(4.0, 64))
     with pytest.raises(InputError, match="plan was built for a different grid"):
@@ -601,8 +664,9 @@ def _one_signal_oracle(params, f):
 @pytest.mark.parametrize("params", (GENERIC, make_params(1, -0.5, 0, 1, 0.2, -0.1)),
                          ids=("b>0", "b<0"))
 def test_oracle_family_is_the_one_signal_oracle_bit_for_bit(n, params):
-    # N = 100 is below one chunk of kernel rows, 300 and 600 end on a
-    # partial chunk
+    # N = 100 is one block of engine.block_rows(N) kernel rows, 300 and 600
+    # end on a partial block; the reference's 256-row chunks split the rows
+    # differently at every N but 100
     grid = Grid((7 - n // 2) * 0.05, 0.05, n)
     family = [_noise(grid, seed) for seed in range(3)]
     for members in (family, family[:1]):
@@ -622,3 +686,16 @@ def test_oracle_family_rejects_an_empty_or_mixed_family():
     other = Grid(grid.start + grid.step, grid.step, grid.count)
     with pytest.raises(InputError, match="one grid"):
         saft_oracle_family(GENERIC, [_noise(grid, 1), _noise(other, 2)])
+
+
+def test_oracle_memory_stays_bounded_at_large_n():
+    # the oracle streams its kernel in blocks of engine.block_rows(N) rows,
+    # so its traced peak stays a few N-vectors (about 2 MiB at 2^14)
+    f = _noise(centered_grid(10.0, 2 ** 14), 44)
+    tracemalloc.start()
+    try:
+        saft_oracle(GENERIC, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saftkit.engine import (dft_frequencies, make_plan, natural_freqs, saft_fast,
-                            spectrum_grid)
+from saftkit.engine import (BLOCK_ENTRIES, dft_frequencies, make_plan,
+                            natural_freqs, saft_fast, spectrum_grid)
 from saftkit.grid import (Grid, Signal, centered_grid, lr_norm, sample,
                           save_json)
 from saftkit.operators import a_modulate, a_translate, chirp
@@ -15,7 +15,7 @@ from saftkit.params import (InputError, WeightSpec, fourier_params,
                             pre_chirp, quad_chirp, radial_weight,
                             transported_weight, unit_weight, weight_eval)
 from saftkit import timefreq
-from saftkit.timefreq import (TF_BLOCK_ENTRIES, STFT_MAX_COUNT, TFMatrix,
+from saftkit.timefreq import (STFT_MAX_COUNT, TFMatrix,
                               a_covariance_check, a_mod_norm,
                               a_mod_norm_oracle,
                               chirp_stft_covariance_check, gaussian_window,
@@ -449,7 +449,7 @@ def test_a_mod_norm_matches_oracle_generated(case):
 
 def test_a_mod_norm_matches_oracle_across_row_blocks():
     n = 1536
-    rows = TF_BLOCK_ENTRIES // n
+    rows = BLOCK_ENTRIES // n
     assert n > rows and n % rows != 0  # several blocks, the last one partial
     grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
     f = gaussian_mixture_family(grid, 1, 78)[0]
@@ -485,7 +485,7 @@ def test_mod_norm_matches_whole_table_generated(case):
 
 def test_mod_norm_matches_whole_table_across_row_blocks():
     n = 1536
-    rows = TF_BLOCK_ENTRIES // n
+    rows = BLOCK_ENTRIES // n
     assert n > rows and n % rows != 0  # several blocks, the last one partial
     grid = Grid((37 - n // 2) * 20.0 / n, 20.0 / n, n)
     f = gaussian_mixture_family(grid, 1, 79)[0]
@@ -722,7 +722,7 @@ def test_stft_rows_from_a_cyclic_start_are_rows_of_the_table(mode, n, k0, rows, 
 
 def _whole_block_a_mod_norm(params, f, g, r, s, m):
     """a_mod_norm's general path in blocks of 2^18 values, eight times
-    TF_BLOCK_ENTRIES, so the two split the rows differently, each step
+    BLOCK_ENTRIES, so the two split the rows differently, each step
     making a fresh array."""
     grid = f.grid
     n = grid.count
