@@ -28,9 +28,9 @@ from .aconv import (aconv_oracle, aconv_fast, crop_to_grid, extended_grid,
 from .timefreq import (TFMatrix, stft, window_flip,
                        gaussian_window, raised_cosine_window,
                        chirp_stft_covariance_check, a_covariance_check,
-                       saft_stft_identity_check, saft_stft_identity_max,
+                       saft_stft_identity_max,
                        mod_norm, a_mod_norm, a_mod_norm_oracle,
-                       weighted_tf_norm, weighted_stft_norms)
+                       weighted_stft_norms)
 from .multipliers import (SymbolSpec, imaginary_power, smoothed_sign,
                           dyadic_bump, indicator_symbol, indicator_union,
                           apply_multiplier, decay_constant,

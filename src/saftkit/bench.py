@@ -5,7 +5,9 @@ size doubling (about 4x vs 2x) are the complexity signature the scaling
 check asserts.  Oracle timings are capped at N <= 4096 as a matter of
 policy; larger sizes report the fast path only.  Every time is in CPU
 seconds of the calling thread (time.thread_time), so other threads and
-processes do not enter it.
+processes do not enter it.  Each round times the sizes in turn and each
+size reports its fastest round, so a round slowed by contention (a
+spin-wait on a preempted BLAS thread counts as CPU time) does not move it.
 """
 
 from __future__ import annotations
@@ -21,44 +23,42 @@ from .params import InputError, SaftParams
 ORACLE_CAP = 4096
 
 
-def _time_call(fn, repeats: int, min_time: float = 2e-3) -> float:
-    """Median of `repeats` measurements, each looping the call until the
-    calling thread's CPU time exceeds min_time, so FFT-scale work resolves."""
-    times = []
-    for _ in range(repeats):
-        loops = 0
-        start = time.thread_time()
-        while True:
-            fn()
-            loops += 1
-            elapsed = time.thread_time() - start
-            if elapsed >= min_time:
-                break
-        times.append(elapsed / loops)
-    return float(np.median(times))
+def _time_call(fn, min_time: float = 2e-3) -> float:
+    """One measurement: the call looped until the calling thread's CPU time
+    exceeds min_time, so FFT-scale work resolves; returns time per call."""
+    loops = 0
+    start = time.thread_time()
+    while True:
+        fn()
+        loops += 1
+        elapsed = time.thread_time() - start
+        if elapsed >= min_time:
+            return elapsed / loops
 
 
 def run_bench(params: SaftParams, sizes, repeats: int = 5) -> list[dict]:
-    """Time per transform (see _time_call) for each size; no oracle above the cap."""
+    """Time per transform for each size, the fastest of `repeats` rounds
+    (see _time_call); no oracle above the cap."""
     if repeats < 1:
         raise InputError("repeats must be at least 1")
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise InputError("sizes must be ascending")
     rng = np.random.default_rng(0)
-    rows = []
+    cases = []
     for n in sizes:
         grid = centered_grid(10.0, n)
         f = Signal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n),
                    "cyclic")
-        plan = make_plan(params, grid)
-        fast_t = _time_call(lambda: saft_fast(plan, f), repeats)
-        oracle_t = None
-        if n <= ORACLE_CAP:
-            oracle_t = _time_call(lambda: saft_oracle(params, f),
-                                  repeats, min_time=0.0)
-        rows.append({"n": n, "fast_s": fast_t, "oracle_s": oracle_t})
-    return rows
+        cases.append((n, make_plan(params, grid), f))
+    fast, oracle = [[] for _ in cases], [[] for _ in cases]
+    for _ in range(repeats):
+        for (n, plan, f), fast_t, oracle_t in zip(cases, fast, oracle):
+            fast_t.append(_time_call(lambda: saft_fast(plan, f)))
+            if n <= ORACLE_CAP:
+                oracle_t.append(_time_call(lambda: saft_oracle(params, f), min_time=0.0))
+    return [{"n": n, "fast_s": min(fast_t), "oracle_s": min(oracle_t) if oracle_t else None}
+            for (n, _, _), fast_t, oracle_t in zip(cases, fast, oracle)]
 
 
 def growth_per_doubling(rows: list[dict]) -> dict:

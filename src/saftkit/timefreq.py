@@ -26,13 +26,11 @@ the same operations in the same operand order as on a whole table, and
 each reduction is one whose bits do not depend on the split (a maximum, a
 sum along a row, or mod_norm's column sums carried down the rows in
 order), so the results are the whole-table ones bit for bit (a_mod_norm's
-Parseval matvec aside: see there).  saft_stft_identity_max keeps two
-real N x N tables, |V_g f| and its row-shifted copy, because the lattice
-map moves entries across rows; weighted_stft_norms reduces STFT row
-blocks to block sums that it adds in numpy's pairwise order, which is
-bit for bit at power-of-two N.  Their whole-table references,
-saft_stft_identity_check and weighted_tf_norm (which reduces a TFMatrix),
-stay as they are.
+Parseval matvec aside: see there).  saft_stft_identity_max keeps one
+real N x N table, |V_g f|, as the lattice map moves entries across rows,
+and gathers the map from it by its index rule; weighted_stft_norms adds
+its block sums in numpy's pairwise order, bit for bit at power-of-two N.
+The whole-table references that pin these bits live in the tests.
 """
 
 from __future__ import annotations
@@ -180,34 +178,14 @@ def _relative(dev: np.ndarray, V0: np.ndarray) -> float:
     return float(np.max(np.abs(dev)) / peak) if peak > 0 else 0.0
 
 
-def _shift_rows(M: np.ndarray, sign: int, shifts, out=None) -> np.ndarray:
-    """out[r, i] = M[r, sign * i + shifts[r]] on centred column indices mod N
-    (i = -N//2 .. N - 1 - N//2): a roll per row, after a reversal about the
-    centre when sign = -1.  Pure data movement, two slice copies per row,
-    into out when given (C order, not overlapping M)."""
+def _shift_rows(M: np.ndarray, shifts, out: np.ndarray) -> np.ndarray:
+    """out[r, k] = M[r, (k + shifts[r]) mod N]: a roll per row, as two slice
+    copies into out (not overlapping M)."""
     n = M.shape[1]
-    if sign < 0:  # M[r, k - i] is the reversed row read at i + (N - 1 - 2 (N//2)) - k
-        M = M[:, ::-1]
-        shifts = (n - 1 - 2 * (n // 2)) - np.asarray(shifts)
-    if out is None:
-        out = np.empty(M.shape, M.dtype)  # C order, also for a transposed M
     for row, src, k in zip(out, M, (np.asarray(shifts) % n).tolist()):
         row[:n - k] = src[k:]
         row[n - k:] = src[:k]
     return out
-
-
-def _lattice_map(V: np.ndarray, a: int, b: int, c: int, d: int) -> np.ndarray:
-    """out[i, j] = V[d i - b j, a j - c i] on centred indices mod N, for an
-    integer matrix with ad - bc = 1 and b = +-1.
-
-    With u = d i - b j these give j = b (d i - u) and a j - c i = b i - a b u,
-    so out[i, j] = W[u, i] with W[u, i] = V[u, b i - a b u]: two passes of
-    row shifts with a transpose between them, and no index table.
-    """
-    centred = np.arange(V.shape[0]) - V.shape[0] // 2
-    W = _shift_rows(V, b, -a * b * centred)  # W[u, i] = V[u, b i - a b u]
-    return _shift_rows(W.T, -b, d * centred)
 
 
 def _streamed_check(f: Signal, g: Signal, start: int, lhs: tuple[Signal, Signal],
@@ -233,7 +211,7 @@ def _streamed_check(f: Signal, g: Signal, start: int, lhs: tuple[Signal, Signal]
         hi = lo + len(v0)
         rhs = rhs_buf[:len(v0)]
         if np.ndim(shifts):
-            _shift_rows(v0, 1, shifts[lo:hi], rhs)
+            _shift_rows(v0, shifts[lo:hi], rhs)
         else:  # one roll for every row: two block copies, not a copy per row
             k = shifts % n
             rhs[:, :n - k] = v0[:, k:]
@@ -311,32 +289,19 @@ def _transformed_pair(params: SaftParams, f: Signal, g: Signal) -> tuple[Signal,
             Signal(G.freq_grid, G.samples, "cyclic"))
 
 
-def saft_stft_identity_check(params: SaftParams, f: Signal, g: Signal) -> float:
-    """Relative magnitude deviation in the transform-domain STFT identity
+def saft_stft_identity_max(param_sets, f: Signal, g: Signal) -> float:
+    """Largest relative magnitude deviation, over the integer sets in
+    param_sets, in the transform-domain STFT identity
 
     |V_{Fg}(Ff)(x, w)| = |V_g f(d x - b w, a w - c x)|.
 
     Needs integer a, b, c, d with |b| = 1 and a self-dual centred grid
     (N dt^2 = |b|, t0 = -N dt / 2, tested with Grid.same_as) so the map
     carries the lattice into itself; incompatible inputs are rejected.
-    Built from whole tables: the reference for saft_stft_identity_max.
-    """
-    ai, bi, ci, di = _identity_matrix(params, f.grid)
-    VA = np.abs(stft(*_transformed_pair(params, f, g)).values)
-    V0 = np.abs(stft(f, g).values)
-    return _relative(VA - _lattice_map(V0, ai, bi, ci, di), V0)
-
-
-def saft_stft_identity_max(param_sets, f: Signal, g: Signal) -> float:
-    """max(saft_stft_identity_check(p, f, g) for p in param_sets), bit for bit,
-    with two real N x N tables and no complex one.
-
-    |V_g f| is made once, in row blocks, and shared by every set.  Per set,
-    the lattice map's first pass of row shifts (which moves entries across
-    rows) fills the second real table W; V_{Fg}(Ff) is then read in row
-    blocks, and each block of the map's second pass is the matching rows of
-    W^T shifted, so both sides meet block by block.  Every entry gets the
-    operations it gets on whole tables, and the check keeps maxima only.
+    |V_g f| is the one real N x N table, made once in row blocks and
+    shared by every set.  Each row block of V_{Fg}(Ff) gathers its right
+    side from it by the index rule, row d i - b j and column a j - c i
+    mod N on centred indices i, j.  The check keeps maxima only.
     """
     mats = [_identity_matrix(p, f.grid) for p in param_sets]
     n = f.grid.count
@@ -346,16 +311,18 @@ def saft_stft_identity_max(param_sets, f: Signal, g: Signal) -> float:
     for lo, block in _stft_rows(f, g, buf):
         np.abs(block, out=V0[lo:lo + len(block)])
     peak = np.max(V0)
-    centred = np.arange(n) - n // 2
-    W, mag, mapped = np.empty((n, n)), np.empty((rows, n)), np.empty((rows, n))
+    i, j = np.arange(n)[:, None] - n // 2, np.arange(n) - n // 2
+    mag, mapped = np.empty((rows, n)), np.empty((rows, n))
     out = []
     for params, (ai, bi, ci, di) in zip(param_sets, mats):
-        _shift_rows(V0, bi, -ai * bi * centred, W)  # W[u, i] = V0[u, b i - a b u]
         devs = []
         for lo, block in _stft_rows(*_transformed_pair(params, f, g), buf):
             hi = lo + len(block)
+            idx = np.ravel_multi_index((di * i[lo:hi] - bi * j + n // 2,
+                                        ai * j - ci * i[lo:hi] + n // 2),
+                                       (n, n), mode="wrap")
             dev = np.abs(block, out=mag[:hi - lo])
-            dev -= _shift_rows(W.T[lo:hi], -bi, di * centred[lo:hi], mapped[:hi - lo])
+            dev -= np.take(V0, idx, out=mapped[:hi - lo])
             devs.append(np.max(np.abs(dev, out=dev)))
         out.append(_relative(devs, peak))
     return max(out)
@@ -503,20 +470,6 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
     return _mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
 
 
-def weighted_tf_norm(V: TFMatrix, w: WeightSpec, r: float) -> float:
-    """(dx dw sum |V|^r weight^r)^{1/r} over the lattice; rejects a norm
-    outside the float range, as the modulation norms do."""
-    x = V.x_grid.nodes()[:, None]
-    om = V.w_grid.nodes()[None, :]
-    mag = np.abs(V.values)
-    mag *= weight_eval(w, x, om)
-    mag **= r
-    acc = np.sum(mag)
-    # the r = s mixed norm with the whole lattice as its one inner sum: with
-    # dw = 1 and the power s/r = 1, _mixed_norm takes the same root of it
-    return _mixed_norm(V.x_grid.step * V.w_grid.step * acc, 1.0, r, r)
-
-
 def _pairwise_total(sums: list) -> float:
     """Sum of equal-size block sums by halving, as numpy's pairwise
     summation adds the halves of a contiguous array whose length is a
@@ -528,14 +481,15 @@ def _pairwise_total(sums: list) -> float:
 
 
 def weighted_stft_norms(f: Signal, g: Signal, weights, r: float) -> list:
-    """[weighted_tf_norm(stft(f, g), w, r) for w in weights], from one stream
-    of STFT row blocks and no N x N table.
+    """The weighted TF norms (dx dw sum |V_g f|^r weight^r)^{1/r} over the
+    lattice, one per weight, from one stream of STFT row blocks and no
+    N x N table; rejects a norm outside the float range.
 
     |V| is taken once per block and every weight reduces that block to one
     sum, added up by _pairwise_total.  When N is a power of two the blocks
     are nodes of numpy's pairwise summation tree over the whole table, so
-    each norm is weighted_tf_norm's bit for bit; at other N the last bits
-    can differ.
+    each norm is the whole-table sum's bit for bit; at other N the last
+    bits can differ.
     """
     grid = f.grid
     n = grid.count

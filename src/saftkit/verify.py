@@ -38,7 +38,7 @@ from .operators import (a_translate, a_translate_commute_check,
 from .params import (InputError, SaftParams, fourier_params, freq_scaled_weight,
                      frft_params, make_params, post_chirp, radial_weight,
                      transported_weight, unit_weight)
-from .timefreq import (a_covariance_check, a_mod_norm,
+from .timefreq import (_transformed_pair, a_covariance_check, a_mod_norm,
                        chirp_stft_covariance_check, gaussian_window, mod_norm,
                        raised_cosine_window, saft_stft_identity_max,
                        weighted_stft_norms)
@@ -376,10 +376,7 @@ def tier2(params: SaftParams, size: int, seed: int) -> list:
     rhs = weighted_stft_norms(fsd, gsd, [radial_weight(ell) for ell in ells], 2.0)
     worst = 0.0
     for pl in LATTICE_SETS:
-        F = saft(pl, fsd)
-        G = saft(pl, gsd)
-        lhs = weighted_stft_norms(Signal(F.freq_grid, F.samples, "cyclic"),
-                                  Signal(G.freq_grid, G.samples, "cyclic"),
+        lhs = weighted_stft_norms(*_transformed_pair(pl, fsd, gsd),
                                   [transported_weight(ell, pl) for ell in ells], 2.0)
         for norm, norm0 in zip(lhs, rhs):
             worst = max(worst, abs(norm / norm0 - 1.0))
