@@ -175,13 +175,19 @@ def raised_cosine(grid: Grid, half: float) -> np.ndarray:
 
 
 def _quadrature_norm(samples: np.ndarray, step: float, r: float) -> float:
-    """(step * sum |samples|^r)^(1/r); r = inf gives max |samples|."""
+    """(step * sum |samples|^r)^(1/r); r = inf gives max |samples|.  Rejects
+    a norm outside the float range: one that is not finite, or zero for
+    nonzero samples."""
     if not r >= 1:  # also rejects NaN
         raise InputError("norm exponent must satisfy r >= 1")
     mag = np.abs(samples)
     if np.isinf(r):
         return float(mag.max(initial=0.0))
-    return float((step * np.sum(mag ** r)) ** (1.0 / r))
+    norm = float((step * np.sum(mag ** r)) ** (1.0 / r))
+    if not np.isfinite(norm) or (norm == 0.0 and np.any(mag)):
+        raise InputError(f"the L^{r:g} norm of the samples is {norm!r}, "
+                         "outside the float range")
+    return norm
 
 
 def lr_norm(f: Signal, r: float) -> float:

@@ -25,12 +25,11 @@ stft, which hands it the whole N x N table as one block.  Each entry gets
 the same operations in the same operand order as on a whole table, and
 each reduction is one whose bits do not depend on the split (a maximum, a
 sum along a row, or mod_norm's column sums carried down the rows in
-order), so the results are the whole-table ones bit for bit (a_mod_norm's
-Parseval matvec aside: see there).  saft_stft_identity_max keeps one
-real N x N table, |V_g f|, as the lattice map moves entries across rows,
-and gathers the map from it by its index rule; weighted_stft_norms adds
-its block sums in numpy's pairwise order, bit for bit at power-of-two N.
-The whole-table references that pin these bits live in the tests.
+order), so the results are the whole-table ones bit for bit.
+saft_stft_identity_max keeps one real N x N table, |V_g f|, as the
+lattice map moves entries across rows, and gathers the map from it by its
+index rule.  The whole-table references that pin these bits live in the
+tests.
 """
 
 from __future__ import annotations
@@ -360,30 +359,45 @@ def _mixed_norm(inner: np.ndarray, dw: float, r: float, s: float) -> float:
     return norm
 
 
-def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
-    """Mixed-norm modulation quantity over the full lattice.
+def _mod_norms(f: Signal, g: Signal, r: float, s: float, weights) -> list[float]:
+    """mod_norm(f, g, r, s, m) for every weight m in weights, from one
+    stream of STFT row blocks.
 
-    (int (int |f * M_w g(x)|^r m(x,w)^r dx)^{s/r} dw)^{1/s}, computed as the
-    STFT against the flipped window.  STFT row blocks are reduced as they
-    are made into per-frequency sums over x, so memory stays bounded at any
-    N.  Each block adds the running sums into its first row before it sums
-    its columns, so every column is summed down the rows in order, as the
-    whole table's sum over x is, and the bits do not depend on the split.
+    |V| is taken once per block; each weight keeps its own per-frequency
+    sums over x.  Each block adds the running sums into its first row before
+    it sums its columns, so every column is summed down the rows in order,
+    as the whole table's sum over x is, and the bits do not depend on the
+    split.
     """
     _check_norm_inputs(f, g, r, s)
     grid = f.grid
     n = grid.count
     x = grid.nodes()[:, None]
     w = spectrum_grid(fourier_params(), grid).nodes()[None, :]
-    acc = np.zeros(n)
-    buf = np.empty((block_rows(n), n), dtype=complex)
+    rows = block_rows(n)
+    buf, vabs, mag = (np.empty((rows, n), dtype=complex), np.empty((rows, n)),
+                      np.empty((rows, n)))
+    accs = [np.zeros(n) for _ in weights]
     for lo, block in _stft_rows(f, window_flip(g), buf):
-        mag = np.abs(block)
-        mag *= weight_eval(m, x[lo:lo + len(block)], w)
-        mag **= r
-        mag[0] += acc
-        acc = np.sum(mag, axis=0)
-    return _mixed_norm(grid.step * acc, 1.0 / grid.span, r, s)
+        hi = lo + len(block)
+        v = np.abs(block, out=vabs[:hi - lo])
+        for k, m in enumerate(weights):
+            term = np.multiply(v, weight_eval(m, x[lo:hi], w), out=mag[:hi - lo])
+            term **= r
+            term[0] += accs[k]
+            accs[k] = np.sum(term, axis=0)
+    return [_mixed_norm(grid.step * acc, 1.0 / grid.span, r, s) for acc in accs]
+
+
+def mod_norm(f: Signal, g: Signal, r: float, s: float, m: WeightSpec) -> float:
+    """Mixed-norm modulation quantity over the full lattice.
+
+    (int (int |f * M_w g(x)|^r m(x,w)^r dx)^{s/r} dw)^{1/s}, computed as the
+    STFT against the flipped window.  STFT row blocks are reduced as they
+    are made into per-frequency sums over x (see _mod_norms), so memory
+    stays bounded at any N.
+    """
+    return _mod_norms(f, g, r, s, (m,))[0]
 
 
 def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
@@ -402,12 +416,10 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     Parseval, sum_j |G_shift|^2 |U_j|^2 / N, so that case takes the same
     strided view of the tripled |G|^2 times |U|^2 / N as one real matvec
     per block, and makes no inverse FFT.
-    Both paths run blocks of block_rows(N) rows, so memory stays bounded
-    at any N; the general path runs them through one complex and one real
+    Both paths run blocks of block_rows(N) rows, the Parseval one at least
+    two, so memory stays bounded at any N; the general path runs them through one complex and one real
     buffer, in place.  Each row's sum is along the row, so it does not
-    depend on the split, except that numpy takes a one-row Parseval block's
-    matvec as a dot product, which can round that row differently.
-    f and g must be in cyclic mode.
+    depend on the split.  f and g must be in cyclic mode.
     """
     _check_twisted_norm_inputs(f, g, r, s)
     grid = f.grid
@@ -432,11 +444,14 @@ def a_mod_norm(params: SaftParams, f: Signal, g: Signal,
     scale = grid.step / np.sqrt(abs(params.b))
     inner = np.empty(n)
     rows = block_rows(n)
-    if not parseval:
+    if parseval:  # numpy takes a one-row matvec as a dot product, which rounds
+        rows = max(2, rows)  # differently, so no block has one row
+    else:
         buf, mag = np.empty((rows, n), dtype=complex), np.empty((rows, n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if parseval:
+            lo = min(lo, max(hi - 2, 0))  # a lone last row starts a row earlier
             inner[lo:hi] = windows[top - lo:top - hi:-1] @ U
             continue
         block = np.multiply(windows[top - lo:top - hi:-1], U, out=buf[:hi - lo])
@@ -468,47 +483,6 @@ def a_mod_norm_oracle(params: SaftParams, f: Signal, g: Signal,
         wgt = weight_eval(m, x, w)
         inner[j] = grid.step * np.sum((np.abs(conv.samples) * wgt) ** r)
     return _mixed_norm(inner, abs(params.b) * (1.0 / grid.span), r, s)
-
-
-def _pairwise_total(sums: list) -> float:
-    """Sum of equal-size block sums by halving, as numpy's pairwise
-    summation adds the halves of a contiguous array whose length is a
-    power-of-two multiple of the block size."""
-    if len(sums) == 1:
-        return sums[0]
-    half = len(sums) // 2
-    return _pairwise_total(sums[:half]) + _pairwise_total(sums[half:])
-
-
-def weighted_stft_norms(f: Signal, g: Signal, weights, r: float) -> list:
-    """The weighted TF norms (dx dw sum |V_g f|^r weight^r)^{1/r} over the
-    lattice, one per weight, from one stream of STFT row blocks and no
-    N x N table; rejects a norm outside the float range.
-
-    |V| is taken once per block and every weight reduces that block to one
-    sum, added up by _pairwise_total.  When N is a power of two the blocks
-    are nodes of numpy's pairwise summation tree over the whole table, so
-    each norm is the whole-table sum's bit for bit; at other N the last
-    bits can differ.
-    """
-    grid = f.grid
-    n = grid.count
-    w_grid = spectrum_grid(fourier_params(), grid)
-    x = grid.nodes()[:, None]
-    om = w_grid.nodes()[None, :]
-    rows = block_rows(n)
-    buf, mag, wmag = (np.empty((rows, n), dtype=complex), np.empty((rows, n)),
-                      np.empty((rows, n)))
-    sums = [[] for _ in weights]
-    for lo, block in _stft_rows(f, g, buf):
-        hi = lo + len(block)
-        vabs = np.abs(block, out=mag[:hi - lo])
-        for w, acc in zip(weights, sums):
-            term = np.multiply(vabs, weight_eval(w, x[lo:hi], om), out=wmag[:hi - lo])
-            term **= r
-            acc.append(np.sum(term))
-    return [_mixed_norm(grid.step * w_grid.step * _pairwise_total(acc), 1.0, r, r)
-            for acc in sums]
 
 
 def tf_to_dict(V: TFMatrix) -> dict:

@@ -494,6 +494,24 @@ def test_norms_reject_exponents_below_1_and_nan(r):
         spectrum_norm(Spectrum(fourier_params(), f.grid, f.samples), r)
 
 
+@pytest.mark.parametrize("scale, value", ((1e200, "inf"), (1e-200, "0.0")))
+def test_norms_reject_a_value_outside_the_float_range(scale, value):
+    # |f|^2 overflows at 1e200 and underflows at 1e-200; r = 1 and r = inf
+    # stay in range, and zeros still have norm 0.0
+    grid = Grid(0.0, 0.1, 4)
+    for norm, make in ((lr_norm, lambda v: Signal(grid, v)),
+                       (spectrum_norm, lambda v: Spectrum(fourier_params(), grid, v))):
+        h = make(scale * np.ones(4))
+        with np.errstate(over="ignore"), pytest.raises(
+                InputError, match=f"L\\^2 norm of the samples is {value}, "
+                "outside the float range"):
+            norm(h, 2)
+        assert norm(h, 1) == pytest.approx(0.4 * scale, rel=1e-15)
+        assert norm(h, np.inf) == scale
+        for r in (1, 2, np.inf):
+            assert norm(make(np.zeros(4)), r) == 0.0
+
+
 @pytest.mark.parametrize("name, text, message", (
     ("bad.json", "{nope", "Expecting property name"),
     ("bad.csv", "t,re,im\n0,1,x\n1,2,3\n", "could not convert string to float"),

@@ -369,7 +369,7 @@ def test_probes_reject_a_zero_member_and_norms_outside_the_float_range():
     for r in (1e300, 2.0):  # samples below 1 underflow at r = 1e300, 1e200 overflows
         scaled = fam if r > 2 else [f.with_samples(f.samples * 1e200) for f in fam]
         with np.errstate(over="ignore"), pytest.raises(
-                InputError, match=re.escape(f"L^{r:g} norm of a probe signal is ")
+                InputError, match=re.escape(f"L^{r:g} norm of the samples is ")
                 + "(0.0|inf), outside the float range"):
             norm_ratios(op, (r,), scaled)
     # a zero image of a nonzero member is a ratio of 0, not an error

@@ -21,7 +21,7 @@ from saftkit.timefreq import (STFT_MAX_COUNT, TFMatrix,
                               chirp_stft_covariance_check, gaussian_window,
                               mod_norm, raised_cosine_window,
                               saft_stft_identity_max, stft, tf_to_dict,
-                              weighted_stft_norms, window_flip)
+                              window_flip)
 from saftkit.families import gaussian_mixture_family
 from saftkit.verify import LATTICE_SETS, SELF_DUAL_GRID
 from strategies import cases
@@ -271,36 +271,28 @@ def _weight_transport_pairs():
 
 
 def test_weighted_stft_norms_are_the_battery_norms_bit_for_bit():
+    # T2.21 streams V_g f through _mod_norms with the flipped window, which
+    # the kernel flips back: window_flip is an exact involution
     seen = 0
     for f, g, weights in _weight_transport_pairs():
-        V = stft(f, g)
-        for w, norm in zip(weights, weighted_stft_norms(f, g, weights, 2.0)):
-            assert norm == _whole_table_tf_norm(V, w, 2.0)
-            seen += 1
+        flipped = window_flip(g)
+        assert timefreq._mod_norms(f, flipped, 2.0, 2.0, weights) == \
+            _whole_table_mod_norms(f, flipped, 2.0, 2.0, weights)
+        seen += len(weights)
     assert seen == 9
 
 
-@pytest.mark.parametrize("n", (16, 64, 256, 1024))
-@pytest.mark.parametrize("r", (1.0, 2.0, 3.3))
-def test_weighted_stft_norms_bit_for_bit_at_powers_of_two(n, r):
+# One block up to 181; 256, 600 and 1024 split into blocks of 128, 54 and
+# 32 rows, 600 with a partial last block.
+@pytest.mark.parametrize("n", (15, 16, 181, 256, 600, 1024))
+def test_mod_norms_equal_the_whole_table_references_bit_for_bit(n):
     grid = Grid(-(n // 2 + 3) * 0.5, 0.5, n)  # three steps off centre
     f = gaussian_mixture_family(grid, 1, 88)[0]
     g = gaussian_window(grid)
     weights = [unit_weight(), radial_weight(1.5), WeightSpec(2.0, (1, 0, -0.5, 1))]
-    V = stft(f, g)
-    assert weighted_stft_norms(f, g, weights, r) == [_whole_table_tf_norm(V, w, r)
-                                                     for w in weights]
-
-
-@pytest.mark.parametrize("n", (15, 181, 600))
-def test_weighted_stft_norms_round_alike_at_other_sizes(n):
-    grid = Grid(-(n // 2) * 0.1, 0.1, n)
-    f = gaussian_mixture_family(grid, 1, 89)[0]
-    g = gaussian_window(grid)
-    weights = [unit_weight(), radial_weight(2.0)]
-    V = stft(f, g)
-    for norm, w in zip(weighted_stft_norms(f, g, weights, 2.0), weights):
-        assert norm == pytest.approx(_whole_table_tf_norm(V, w, 2.0), rel=1e-13, abs=0)
+    for r, s in ((2.0, 2.0), (1.0, 1.0), (3.3, 1.5)):
+        assert (timefreq._mod_norms(f, g, r, s, weights)
+                == _whole_table_mod_norms(f, g, r, s, weights))
 
 
 def test_weighted_stft_norms_make_no_whole_table():
@@ -308,7 +300,7 @@ def test_weighted_stft_norms_make_no_whole_table():
     n = f.grid.count
     tracemalloc.start()
     try:
-        weighted_stft_norms(f, g, weights, 2.0)
+        timefreq._mod_norms(f, g, 2.0, 2.0, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,7 +313,8 @@ def test_weighted_stft_norms_reject_a_norm_outside_the_float_range():
     g = gaussian_window(grid)
     with np.errstate(over="ignore"), pytest.raises(
             InputError, match="is not finite in floating point"):
-        weighted_stft_norms(f.with_samples(1e200 * f.samples), g, [unit_weight()], 2.0)
+        timefreq._mod_norms(f.with_samples(1e200 * f.samples), g, 2.0, 2.0,
+                            [unit_weight()])
 
 
 def test_mod_norm_moyal_case():
@@ -467,21 +460,21 @@ def test_a_mod_norm_matches_oracle_across_row_blocks():
                                          rel=rel)
 
 
-def _whole_table_mod_norm(f, g, r, s, m):
-    """The mixed norm reduced from the whole STFT table against the flipped window."""
+def _whole_table_mod_norms(f, g, r, s, weights):
+    """The mixed norms, one per weight, reduced from the whole STFT table
+    against the flipped window."""
     V = stft(f, window_flip(g))
-    wgt = weight_eval(m, V.x_grid.nodes()[:, None], V.w_grid.nodes()[None, :])
-    inner = V.x_grid.step * np.sum((np.abs(V.values) * wgt) ** r, axis=0)
-    return (V.w_grid.step * np.sum(inner ** (s / r))) ** (1.0 / s)
+    x, w = V.x_grid.nodes()[:, None], V.w_grid.nodes()[None, :]
+    out = []
+    for m in weights:
+        inner = V.x_grid.step * np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r,
+                                       axis=0)
+        out.append(float((V.w_grid.step * np.sum(inner ** (s / r))) ** (1.0 / s)))
+    return out
 
 
-def _whole_table_tf_norm(V, w, r):
-    """(dx dw sum |V|^r weight^r)^{1/r} over the whole lattice of V: the
-    r = s mixed norm with the whole lattice as its one inner sum."""
-    mag = np.abs(V.values)
-    mag *= weight_eval(w, V.x_grid.nodes()[:, None], V.w_grid.nodes()[None, :])
-    mag **= r
-    return timefreq._mixed_norm(V.x_grid.step * V.w_grid.step * np.sum(mag), 1.0, r, r)
+def _whole_table_mod_norm(f, g, r, s, m):
+    return _whole_table_mod_norms(f, g, r, s, (m,))[0]
 
 
 def _whole_table_identity_check(params, f, g):
@@ -530,6 +523,20 @@ def test_a_mod_norm_uses_no_stft(monkeypatch):
     monkeypatch.setattr(timefreq, "stft", _raise)
     monkeypatch.setattr(timefreq, "_stft_rows", _raise)
     assert a_mod_norm(GENERIC, f, g, 2.0, 3.0, m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_a_mod_norm_parseval_path_does_not_depend_on_the_split(monkeypatch):
+    # 1475 rows are 67 blocks of 22 and one lone row, which numpy would take
+    # as a dot product, not a matvec: that rounded this norm differently
+    n = 1475
+    assert n % (BLOCK_ENTRIES // n) == 1
+    grid = Grid(-(n // 2) * 0.1, 0.1, n)
+    f = gaussian_mixture_family(grid, 1, 67)[0]
+    g = gaussian_window(grid)
+    p = frft_params(np.pi / 4)
+    split = a_mod_norm(p, f, g, 2.0, 1.0, unit_weight())
+    monkeypatch.setattr(timefreq, "block_rows", lambda n: n)  # one block
+    assert split == a_mod_norm(p, f, g, 2.0, 1.0, unit_weight())
 
 
 def test_a_mod_norm_at_r2_unit_weight_makes_no_inverse_fft(monkeypatch):
@@ -610,17 +617,15 @@ def test_weight_transport_exact_for_concentrated_signals():
     f = sample(lambda t: np.exp(-np.pi * (t - 0.4) ** 2)
                * np.exp(2j * np.pi * 0.7 * t), grid, "cyclic")
     g = sample(lambda t: np.exp(-np.pi * t * t), grid, "cyclic")
+    ells = (0, 1, 2)
+    rhs = timefreq._mod_norms(f, window_flip(g), 2.0, 2.0,
+                              [radial_weight(ell) for ell in ells])
     for abcd in ((0, 1, -1, 0), (1, 1, 0, 1)):
         p = make_params(*abcd)
-        F = saft_fast(make_plan(p, grid), f)
-        G = saft_fast(make_plan(p, grid), g)
-        VA = stft(Signal(F.freq_grid, F.samples, "cyclic"),
-                  Signal(G.freq_grid, G.samples, "cyclic"))
-        V0 = stft(f, g)
-        for ell in (0, 1, 2):
-            lhs = _whole_table_tf_norm(VA, transported_weight(ell, p), 2.0)
-            rhs = _whole_table_tf_norm(V0, radial_weight(ell), 2.0)
-            assert lhs == pytest.approx(rhs, rel=1e-2)
+        F, G = timefreq._transformed_pair(p, f, g)
+        lhs = timefreq._mod_norms(F, window_flip(G), 2.0, 2.0,
+                                  [transported_weight(ell, p) for ell in ells])
+        assert lhs == pytest.approx(rhs, rel=1e-2)
 
 
 def test_window_independence_band():
@@ -797,10 +802,6 @@ def test_in_place_powers_keep_the_norms_bit_for_bit(r):
     acc = np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r, axis=0)
     assert mod_norm(f, g, r, 2.0, m) == timefreq._mixed_norm(grid.step * acc,
                                                              1.0 / grid.span, r, 2.0)
-    V = stft(f, g)
-    acc = np.sum((np.abs(V.values) * weight_eval(m, x, w)) ** r)
-    assert (_whole_table_tf_norm(V, m, r)
-            == float((V.x_grid.step * V.w_grid.step * acc) ** (1.0 / r)))
 
 
 # One block up to 181; 600 and 1000 split into blocks of 54 and 32 rows and
