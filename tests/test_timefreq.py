@@ -282,14 +282,42 @@ def test_weighted_stft_norms_are_the_battery_norms_bit_for_bit():
     assert seen == 9
 
 
-# One block up to 181; 256, 600 and 1024 split into blocks of 128, 54 and
-# 32 rows, 600 with a partial last block.
-@pytest.mark.parametrize("n", (15, 16, 181, 256, 600, 1024))
-def test_mod_norms_equal_the_whole_table_references_bit_for_bit(n):
+def _three_weight_case(n):
     grid = Grid(-(n // 2 + 3) * 0.5, 0.5, n)  # three steps off centre
     f = gaussian_mixture_family(grid, 1, 88)[0]
     g = gaussian_window(grid)
     weights = [unit_weight(), radial_weight(1.5), WeightSpec(2.0, (1, 0, -0.5, 1))]
+    return f, g, weights
+
+
+# One block up to 181; 256 and 1024 split into blocks of 128 and 32 rows.
+# The former weighted_stft_norms(f, g, weights, r) is the flipped-window
+# kernel at s = r; the unflipped window checks the same kernel for mod_norm.
+@pytest.mark.parametrize("n", (16, 64, 256, 1024))
+@pytest.mark.parametrize("r", (1.0, 2.0, 3.3))
+def test_weighted_stft_norms_bit_for_bit_at_powers_of_two(n, r):
+    f, g, weights = _three_weight_case(n)
+    for h, s in ((window_flip(g), r), (g, r), (g, 1.5)):
+        assert (timefreq._mod_norms(f, h, r, s, weights)
+                == _whole_table_mod_norms(f, h, r, s, weights))
+
+
+@pytest.mark.parametrize("n", (15, 181, 600))
+def test_weighted_stft_norms_round_alike_at_other_sizes(n):
+    # the former pairwise-order kernel rounded alike only to rel 1e-13 here;
+    # the in-order kernel gives the whole-table bits
+    grid = Grid(-(n // 2) * 0.1, 0.1, n)
+    f = gaussian_mixture_family(grid, 1, 89)[0]
+    g = window_flip(gaussian_window(grid))
+    weights = [unit_weight(), radial_weight(2.0)]
+    assert (timefreq._mod_norms(f, g, 2.0, 2.0, weights)
+            == _whole_table_mod_norms(f, g, 2.0, 2.0, weights))
+
+
+# 600 splits into blocks of 54 rows with a partial last block
+@pytest.mark.parametrize("n", (15, 181, 600))
+def test_mod_norms_equal_the_whole_table_references_bit_for_bit(n):
+    f, g, weights = _three_weight_case(n)
     for r, s in ((2.0, 2.0), (1.0, 1.0), (3.3, 1.5)):
         assert (timefreq._mod_norms(f, g, r, s, weights)
                 == _whole_table_mod_norms(f, g, r, s, weights))
