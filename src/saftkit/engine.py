@@ -29,15 +29,17 @@ the symbol and takes the inverse step, and project_ranges cuts one
 forward step into blocks of index ranges and inverts each; neither
 touches post.
 
-The inverse step works in place: ifft(row, out=row), then row *= conj(pre).
+Both steps work in place.  The forward step multiplies into a new array
+and transforms it with fft(vals, out=vals); the inverse step takes a
+(k, N) table of spectra in one call, ifft(table, axis=-1, out=table), then
+table *= conj(pre), on the calling thread.
 
 One block rule and one runner serve the whole library.  Every kernel that
 works through an N x N quantity (the oracle, the heat-kernel quadrature,
 every time-frequency kernel) takes blocks of block_rows(N) rows, at most
 BLOCK_ENTRIES values each.  side_by_side is the one place that starts
-helper threads: for _inverse's rows from N = SPLIT_MIN_POINTS on (numpy's
-FFT and multiply release the GIL) and for run_verify's tiers.  Each helper
-runs in a copy of the caller's context, so np.errstate carries over.
+helper threads; run_verify's tiers are its one caller.  Each helper runs
+in a copy of the caller's context, so np.errstate carries over.
 
 make_plan is memoised on (params, grid) by functools.lru_cache: it keeps
 the PLAN_CACHE_PLANS most recently used plans, so repeated one-shot calls
@@ -66,10 +68,6 @@ from .params import InputError, SaftParams, post_chirp
 # the kept tables add up to at most the byte budget.
 PLAN_CACHE_PLANS = 8
 PLAN_CACHE_BYTES = 64 * 2 ** 20
-# A multi-row inverse step splits its rows across threads from this many
-# points per row on.  Starting a helper costs about 0.5 ms, which the split
-# wins back from 2^14 points on (BENCH_lp_split.json holds the crossover).
-SPLIT_MIN_POINTS = 2 ** 14
 # A kernel that works through an N x N quantity takes blocks of rows of at
 # most this many complex values (512 KiB per buffer, 64 rows at N = 512), so
 # the few buffers each keeps stay in a core's L2 cache.
@@ -149,7 +147,8 @@ def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
     """The forward step: fft(pre * f), in centered (FFT) order."""
     if not plan.grid.same_as(f.grid):
         raise InputError("plan was built for a different grid")
-    return np.fft.fft(plan.pre * f.samples)
+    vals = plan.pre * f.samples
+    return np.fft.fft(vals, out=vals)
 
 
 def block_rows(n: int) -> int:
@@ -167,10 +166,11 @@ def _cpus() -> int:
 def side_by_side(*tasks) -> list:
     """Run each task (a callable of no arguments); their results in order.
 
-    From two tasks and two CPUs on, the first task runs on the calling
-    thread and each other one on a helper thread in a copy of the caller's
-    context; otherwise all run in order on the calling thread.  A task's
-    exception is raised after every helper has finished.
+    run_verify's tiers are the one caller.  From two tasks and two CPUs
+    on, the first task runs on the calling thread and each other one on a
+    helper thread in a copy of the caller's context; otherwise all run in
+    order on the calling thread.  A task's exception is raised after every
+    helper has finished.
     """
     if len(tasks) < 2 or _cpus() < 2:
         return [task() for task in tasks]
@@ -183,28 +183,19 @@ def side_by_side(*tasks) -> list:
     return [head] + [helper.result() for helper in helpers]
 
 
-def _invert_rows(rows: np.ndarray, unpre: np.ndarray) -> None:
-    for row in rows:
-        np.fft.ifft(row, out=row)
-        row *= unpre
-
-
 def _inverse(plan: SaftPlan, rows: np.ndarray) -> np.ndarray:
     """The inverse step, in place: each row becomes ifft(row) * conj(pre).
 
-    rows is one spectrum in FFT order or a (k, N) array of them.  With at
-    least two rows and N >= SPLIT_MIN_POINTS, side_by_side inverts
-    min(CPUs, k) contiguous parts of them at once; each row gets the same
-    calls either way, so the output does not depend on the split.  Each
-    helper keeps pocketfft's scratch in its own malloc arena, about 3 MB at
-    N = 2^16 and 13 MB at 2^18, so peak memory rises with the CPU count.
+    rows is one spectrum in FFT order or a (k, N) array of them, inverted
+    by one FFT call and one multiply on the calling thread.  numpy's FFT
+    takes the rows one after another, each with the calls a lone row gets,
+    so every row comes out bit for bit as when inverted alone, whatever
+    the CPU count.  BENCH_inverse.json measures it against the per-row
+    loop split across CPUs that it replaced.
     """
-    unpre = np.conjugate(plan.pre)
     table = np.atleast_2d(rows)
-    parts = [table]
-    if table.shape[1] >= SPLIT_MIN_POINTS and len(table) > 1:
-        parts = np.array_split(table, min(_cpus(), len(table)))
-    side_by_side(*(functools.partial(_invert_rows, part, unpre) for part in parts))
+    np.fft.ifft(table, axis=-1, out=table)
+    table *= np.conjugate(plan.pre)
     return rows
 
 
@@ -297,8 +288,7 @@ def project_ranges(plan: SaftPlan, f: Signal, ranges) -> list[Signal]:
     transform and inverse, so block i is the inverse step of mask_i times
     the forward step, the ranges mirrored into FFT order when b < 0.  The
     blocks' samples are the rows of one (blocks, N) array, inverted in
-    place by one _inverse call, which splits the rows across CPUs from
-    SPLIT_MIN_POINTS on.
+    place by one _inverse call.
     """
     raw = _forward(plan, f)
     n = plan.grid.count

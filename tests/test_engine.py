@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -379,12 +378,59 @@ def test_project_ranges_matches_spelled_out_path(p, grid):
             assert np.max(np.abs(blk.samples - ref.samples)) <= 1e-12 * np.max(np.abs(f.samples))
 
 
-class _CountingExecutor(ThreadPoolExecutor):
-    submitted = 0
+def _refuse_threads(monkeypatch, cpus=4):
+    """Patch _cpus to cpus and make starting a thread pool fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
 
-    def submit(self, *args, **kwargs):
-        _CountingExecutor.submitted += 1
-        return super().submit(*args, **kwargs)
+    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+def _rowwise_inverse(plan, rows):
+    """The inverse step one row at a time: the reference for the batched call."""
+    out = np.array(rows, dtype=complex, ndmin=2)
+    for row in out:
+        np.fft.ifft(row, out=row)
+        row *= np.conjugate(plan.pre)
+    return out
+
+
+@pytest.mark.parametrize("p", (GENERIC, make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1)),
+                         ids=("generic", "neg_b"))
+@pytest.mark.parametrize("n", (255, 257, 16385, 20011, 2 ** 15))
+@pytest.mark.parametrize("k", (1, 2, 15))
+def test_inverse_matches_rows_inverted_one_at_a_time(k, n, p):
+    # 20011 is prime, so pocketfft takes its Bluestein path
+    plan = make_plan(p, centered_grid(10.0, n))
+    rng = np.random.default_rng(k * n)
+    rows = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    ref = _rowwise_inverse(plan, rows)
+    one = rows[0].copy()
+    assert engine._inverse(plan, rows) is rows and rows.tobytes() == ref.tobytes()
+    # one spectrum as a 1-D array, as isaft and apply_symbol hand it over
+    assert engine._inverse(plan, one).tobytes() == ref[0].tobytes()
+
+
+@pytest.mark.parametrize("p", PSETS + (make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1),))
+@pytest.mark.parametrize("n", (255, 256, 2 ** 15))
+def test_forward_step_is_the_fft_of_pre_times_f(p, n):
+    plan = make_plan(p, centered_grid(10.0, n))
+    f = _noise(plan.grid, n)
+    assert engine._forward(plan, f).tobytes() == \
+        np.fft.fft(plan.pre * f.samples).tobytes()
+
+
+def test_project_ranges_and_isaft_start_no_thread(monkeypatch):
+    _refuse_threads(monkeypatch)
+    grid = centered_grid(10.0, 2 ** 15)
+    plan = make_plan(GENERIC, grid)
+    f = _noise(grid, 44)
+    edges = np.linspace(0, grid.count, 13).astype(int)
+    blocks = project_ranges(plan, f, [[(lo, hi)] for lo, hi in zip(edges, edges[1:])])
+    assert len(blocks) == 12
+    back = isaft(plan, saft_fast(plan, f))
+    assert np.max(np.abs(back.samples - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
 
 
 @pytest.mark.parametrize("p", (GENERIC, make_params(1.0, -2.0, 1.0, -1.0, 0.2, 0.1)),
@@ -393,16 +439,14 @@ class _CountingExecutor(ThreadPoolExecutor):
                                   Grid(-3.7, 0.0005, 2 ** 14 + 1)),
                          ids=("even", "odd_noncentered"))
 def test_split_inverse_matches_rows_inverted_alone(p, grid, monkeypatch):
-    # three CPUs on four rows: parts of two, one and one rows
-    monkeypatch.setattr(engine, "_cpus", lambda: 3)
-    monkeypatch.setattr(_CountingExecutor, "submitted", 0)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingExecutor)
+    # three CPUs on four rows: the rows are still inverted in one call on
+    # the calling thread, each as it is alone
+    _refuse_threads(monkeypatch, cpus=3)
     plan = make_plan(p, grid)
     n = grid.count
     ranges = ([(0, n)], [], [(0, 1), (n - 1, n)], [(3, 4000), (9000, 9001)])
     f = _noise(grid, 41)
     blocks = project_ranges(plan, f, ranges)
-    assert _CountingExecutor.submitted == 2
     raw = engine._forward(plan, f)
     for spans, blk in zip(ranges, blocks):
         mask = np.zeros(n, dtype=bool)
@@ -412,36 +456,12 @@ def test_split_inverse_matches_rows_inverted_alone(p, grid, monkeypatch):
         assert blk.samples.tobytes() == engine._inverse(plan, row).tobytes()
 
 
-def test_split_inverse_reraises_a_helper_error(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
-    plan = make_plan(GENERIC, centered_grid(10.0, 2 ** 14))
-    rows = np.ones((3, 2 ** 14), dtype=complex)
-    rows.flags.writeable = False
-    with pytest.raises(ValueError):
-        engine._inverse(plan, rows)
-
-    invert_rows = engine._invert_rows
-
-    def fail_off_the_calling_thread(rows, unpre):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("helper failed")
-        invert_rows(rows, unpre)
-
-    monkeypatch.setattr(engine, "_invert_rows", fail_off_the_calling_thread)
-    with pytest.raises(RuntimeError, match="helper failed"):
-        engine._inverse(plan, np.ones((3, 2 ** 14), dtype=complex))
-
-
 def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(engine, "_cpus", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    small = centered_grid(10.0, engine.SPLIT_MIN_POINTS // 2)
+    _refuse_threads(monkeypatch)
+    small = centered_grid(10.0, 2 ** 13)
     plan = make_plan(GENERIC, small)
     project_ranges(plan, _noise(small, 42), [[(0, 9)], [(9, 99)], [(99, 999)]])
-    large = centered_grid(10.0, engine.SPLIT_MIN_POINTS)
+    large = centered_grid(10.0, 2 ** 14)
     plan = make_plan(GENERIC, large)
     f = _noise(large, 43)
     project_ranges(plan, f, [[(0, 99)]])
@@ -449,14 +469,14 @@ def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
     apply_symbol(plan, f, np.ones(large.count))
 
 
-@pytest.mark.parametrize("cpus", (1, 2))
-def test_split_inverse_runs_in_the_callers_error_state(cpus, monkeypatch):
-    # with two CPUs the second row is the helper's part
-    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
-    plan = make_plan(GENERIC, centered_grid(10.0, engine.SPLIT_MIN_POINTS))
+def test_split_inverse_runs_in_the_callers_error_state():
+    plan = make_plan(GENERIC, centered_grid(10.0, 2 ** 14))
     rows = np.ones((2, plan.grid.count), dtype=complex)
     rows[1, 7] = np.inf
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        engine._inverse(plan, rows)
+    rows.flags.writeable = False
+    with pytest.raises(ValueError):
         engine._inverse(plan, rows)
 
 
@@ -499,11 +519,7 @@ def test_side_by_side_raises_after_every_task_finished(where, monkeypatch):
 @pytest.mark.parametrize("cpus, count", ((4, 0), (4, 1), (1, 3)))
 def test_side_by_side_starts_no_thread_for_one_task_or_one_cpu(cpus, count,
                                                                monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    _refuse_threads(monkeypatch, cpus)
     seen = []
     tasks = [_recording(seen, k) for k in range(count)]
     assert engine.side_by_side(*tasks) == list(range(count))
