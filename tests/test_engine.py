@@ -469,7 +469,10 @@ def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
     apply_symbol(plan, f, np.ones(large.count))
 
 
-def test_split_inverse_runs_in_the_callers_error_state():
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_split_inverse_runs_in_the_callers_error_state(cpus, monkeypatch):
+    # whatever _cpus reports, both rows are inverted on the calling thread
+    _refuse_threads(monkeypatch, cpus=cpus)
     plan = make_plan(GENERIC, centered_grid(10.0, 2 ** 14))
     rows = np.ones((2, plan.grid.count), dtype=complex)
     rows[1, 7] = np.inf
