@@ -34,12 +34,10 @@ and transforms it with fft(vals, out=vals); the inverse step takes a
 (k, N) table of spectra in one call, ifft(table, axis=-1, out=table), then
 table *= conj(pre), on the calling thread.
 
-One block rule and one runner serve the whole library.  Every kernel that
-works through an N x N quantity (the oracle, the heat-kernel quadrature,
-every time-frequency kernel) takes blocks of block_rows(N) rows, at most
-BLOCK_ENTRIES values each.  side_by_side is the one place that starts
-helper threads; run_verify's tiers are its one caller.  Each helper runs
-in a copy of the caller's context, so np.errstate carries over.
+One block rule serves the whole library.  Every kernel that works
+through an N x N quantity (the oracle, the heat-kernel quadrature, every
+time-frequency kernel) takes blocks of block_rows(N) rows, at most
+BLOCK_ENTRIES values each.  Nothing here starts a thread.
 
 make_plan is memoised on (params, grid) by functools.lru_cache: it keeps
 the PLAN_CACHE_PLANS most recently used plans, so repeated one-shot calls
@@ -51,9 +49,7 @@ read-only, so no caller can change a shared plan.
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,33 +150,6 @@ def _forward(plan: SaftPlan, f: Signal) -> np.ndarray:
 def block_rows(n: int) -> int:
     """Rows of N values in a block of at most BLOCK_ENTRIES, at least one."""
     return min(n, max(1, BLOCK_ENTRIES // n))
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def side_by_side(*tasks) -> list:
-    """Run each task (a callable of no arguments); their results in order.
-
-    run_verify's tiers are the one caller.  From two tasks and two CPUs
-    on, the first task runs on the calling thread and each other one on a
-    helper thread in a copy of the caller's context; otherwise all run in
-    order on the calling thread.  A task's exception is raised after every
-    helper has finished.
-    """
-    if len(tasks) < 2 or _cpus() < 2:
-        return [task() for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-    first, *rest = tasks
-    with ThreadPoolExecutor(len(rest)) as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, task)
-                   for task in rest]
-        head = first()
-    return [head] + [helper.result() for helper in helpers]
 
 
 def _inverse(plan: SaftPlan, rows: np.ndarray) -> np.ndarray:

@@ -187,6 +187,10 @@ class LPBank:
     def __post_init__(self):
         if self.j_max < self.j_min:
             raise InputError("bank needs j_max >= j_min")
+        # 2^j_min must be a positive float and 2^(j_max+1) a finite one
+        if self.j_min < -1074 or self.j_max > 1022:
+            raise InputError("bank levels must lie in -1074..1022, got "
+                             f"{self.j_min}..{self.j_max}")
 
     @property
     def levels(self) -> range:

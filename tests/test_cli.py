@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import saftkit
-from saftkit import engine
 from saftkit.cli import main, parse_params, parse_symbol, parse_weight
 from saftkit.aconv import aconv_fast
 from saftkit.engine import heat_evolve, make_plan, saft_fast
@@ -198,6 +197,8 @@ BAD_INPUTS = {
     "probe-lp-coarse-grid": ["probe", "--kind", "lp", "--size", "2"],
     "lp-empty-bank": ["lp", "--jmin", "3", "--jmax", "1", "--in", "GOOD",
                       "--out", "OUT"],
+    "lp-level-overflow": ["lp", "--jmin", "0", "--jmax", "1100", "--in", "GOOD",
+                          "--out", "OUT"],
     "heat-negative-time": ["heat", "--t", "-1", "--in", "GOOD", "--out", "OUT"],
     "heat-nan-time": ["heat", "--t", "nan", "--in", "GOOD", "--out", "OUT"],
     "opB-fd-4-samples": ["opB", "--method", "fd", "--in", "TINY", "--out", "OUT"],
@@ -304,12 +305,9 @@ def test_cli_process_prints_one_error_line_and_no_numpy_warning(argv, named, tmp
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "o.csv").exists()
 
 
-def test_cli_lp_split_inverse_prints_one_error_line_and_no_warning(tmp_path,
-                                                                 monkeypatch,
-                                                                 capsys):
-    # the split inverse step's helper runs in main's numpy error state, so
-    # the overflow warns on no thread and the writer's refusal is the one line
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+def test_cli_lp_overflow_prints_one_error_line_and_no_warning(tmp_path, capsys):
+    # the blocks of a 1e306 signal overflow to inf; main's numpy error state
+    # silences the overflow, so the writer's refusal is the one line
     grid = centered_grid(10.0, 2 ** 14)
     rng = np.random.default_rng(5)
     path, out = str(tmp_path / "f.json"), str(tmp_path / "blocks.json")

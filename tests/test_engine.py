@@ -1,7 +1,6 @@
 import concurrent.futures
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -378,12 +377,11 @@ def test_project_ranges_matches_spelled_out_path(p, grid):
             assert np.max(np.abs(blk.samples - ref.samples)) <= 1e-12 * np.max(np.abs(f.samples))
 
 
-def _refuse_threads(monkeypatch, cpus=4):
-    """Patch _cpus to cpus and make starting a thread pool fail the test."""
+def _refuse_threads(monkeypatch):
+    """Make starting a thread pool fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
@@ -439,9 +437,9 @@ def test_project_ranges_and_isaft_start_no_thread(monkeypatch):
                                   Grid(-3.7, 0.0005, 2 ** 14 + 1)),
                          ids=("even", "odd_noncentered"))
 def test_split_inverse_matches_rows_inverted_alone(p, grid, monkeypatch):
-    # three CPUs on four rows: the rows are still inverted in one call on
-    # the calling thread, each as it is alone
-    _refuse_threads(monkeypatch, cpus=3)
+    # a spectrum split into four blocks: the rows are inverted in one call
+    # on the calling thread, each as it is alone
+    _refuse_threads(monkeypatch)
     plan = make_plan(p, grid)
     n = grid.count
     ranges = ([(0, n)], [], [(0, 1), (n - 1, n)], [(3, 4000), (9000, 9001)])
@@ -457,6 +455,8 @@ def test_split_inverse_matches_rows_inverted_alone(p, grid, monkeypatch):
 
 
 def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
+    # tables of three rows at 2^13 and of one row at 2^14, through every
+    # caller of the inverse step
     _refuse_threads(monkeypatch)
     small = centered_grid(10.0, 2 ** 13)
     plan = make_plan(GENERIC, small)
@@ -469,64 +469,18 @@ def test_inverse_starts_no_thread_below_the_floor_or_for_one_row(monkeypatch):
     apply_symbol(plan, f, np.ones(large.count))
 
 
-@pytest.mark.parametrize("cpus", (1, 2))
-def test_split_inverse_runs_in_the_callers_error_state(cpus, monkeypatch):
-    # whatever _cpus reports, both rows are inverted on the calling thread
-    _refuse_threads(monkeypatch, cpus=cpus)
+@pytest.mark.parametrize("count", (1, 2))
+def test_split_inverse_runs_in_the_callers_error_state(count, monkeypatch):
+    # one row or two, inverted on the calling thread; the last holds an inf
+    _refuse_threads(monkeypatch)
     plan = make_plan(GENERIC, centered_grid(10.0, 2 ** 14))
-    rows = np.ones((2, plan.grid.count), dtype=complex)
-    rows[1, 7] = np.inf
+    rows = np.ones((count, plan.grid.count), dtype=complex)
+    rows[-1, 7] = np.inf
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         engine._inverse(plan, rows)
     rows.flags.writeable = False
     with pytest.raises(ValueError):
         engine._inverse(plan, rows)
-
-
-def _recording(seen, value, delay=0.0):
-    """A task that sleeps for delay, records its thread in seen and returns value."""
-    def task():
-        time.sleep(delay)
-        seen.append((value, threading.current_thread()))
-        return value
-    return task
-
-
-def test_side_by_side_returns_results_in_task_order(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 3)
-    seen = []
-    tasks = (_recording(seen, "a", 0.05), _recording(seen, "b", 0.1),
-             _recording(seen, "c"))
-    assert engine.side_by_side(*tasks) == ["a", "b", "c"]
-    threads = dict(seen)
-    assert threads["a"] is threading.main_thread()
-    assert threading.main_thread() not in (threads["b"], threads["c"])
-
-
-def _fail():
-    raise RuntimeError("task failed")
-
-
-@pytest.mark.parametrize("where", (0, 1, 2))
-def test_side_by_side_raises_after_every_task_finished(where, monkeypatch):
-    # where = 0 fails on the calling thread, 1 and 2 on a helper
-    monkeypatch.setattr(engine, "_cpus", lambda: 3)
-    seen = []
-    tasks = [_recording(seen, k, 0.05) for k in range(2)]
-    tasks.insert(where, _fail)
-    with pytest.raises(RuntimeError, match="task failed"):
-        engine.side_by_side(*tasks)
-    assert sorted(value for value, _ in seen) == [0, 1]
-
-
-@pytest.mark.parametrize("cpus, count", ((4, 0), (4, 1), (1, 3)))
-def test_side_by_side_starts_no_thread_for_one_task_or_one_cpu(cpus, count,
-                                                               monkeypatch):
-    _refuse_threads(monkeypatch, cpus)
-    seen = []
-    tasks = [_recording(seen, k) for k in range(count)]
-    assert engine.side_by_side(*tasks) == list(range(count))
-    assert seen == [(k, threading.main_thread()) for k in range(count)]
 
 
 def test_project_ranges_rejects_a_plan_for_another_grid():

@@ -194,6 +194,21 @@ def test_bank_validation():
         LPBank(3, 1)
 
 
+@pytest.mark.parametrize("j_min, j_max", ((0, 1023), (0, 1100), (-1075, 0), (-1100, 0)))
+def test_bank_refuses_levels_outside_the_float_range(j_min, j_max):
+    # 2^(j_max+1) would overflow, or 2^j_min round to 0 and put w = 0 in a block
+    with pytest.raises(InputError, match="levels must lie in -1074..1022"):
+        LPBank(j_min, j_max)
+
+
+def test_bank_keeps_w0_out_of_its_lowest_possible_level():
+    bank = LPBank(-1074, 1022)
+    w = np.linspace(-4.0, 4.0, 257)
+    assert not bank.block_mask(-1074, w)[128]
+    assert bank.block_ranges(-1074, w) == ((128, 128), (129, 129))
+    assert np.isfinite(2.0 ** (bank.j_max + 1))
+
+
 @pytest.mark.parametrize("b", (1.0, -1.0, 2.0, -0.5))
 @pytest.mark.parametrize("grid, on_nodes", (
     (centered_grid(8.0, 256), True), (centered_grid(8.0, 257), True),

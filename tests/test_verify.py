@@ -1,5 +1,5 @@
-"""run_verify's helper thread: tiers 2 and 3 run beside tier 1 from two CPUs
-on, and the report does not depend on whether they did."""
+"""run_verify's helper thread: tiers 2 and 3 run beside tier 1 when both
+sides are asked for, and the report does not depend on whether they did."""
 
 import concurrent.futures
 import threading
@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from saftkit import engine, verify
+from saftkit import verify
 from saftkit.cli import parse_params
 from saftkit.params import fourier_params
 from saftkit.verify import CheckResult, run_verify
@@ -29,17 +29,17 @@ def _stub(check_id, seen=None, delay=0.0):
 
 
 @pytest.mark.parametrize("text", CI_SETS)
-def test_report_does_not_depend_on_the_cpu_count(text, monkeypatch):
+def test_report_does_not_depend_on_the_cpu_count(text):
+    # the full battery runs its two sides on two threads, each side alone
+    # runs on the calling thread: the checks are the same either way
     params = parse_params(text)
-    reports = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(engine, "_cpus", lambda cpus=cpus: cpus)
-        reports.append(run_verify(params, 256, 42, include_bench=False).to_json())
-    assert reports[0] == reports[1]
+    full = run_verify(params, 256, 42, include_bench=False).checks
+    alone = [c for tiers in ((1,), (2, 3))
+             for c in run_verify(params, 256, 42, tiers, include_bench=False).checks]
+    assert full == alone
 
 
 def test_later_tiers_run_on_one_helper_in_tier_order(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
     seen = {1: [], 2: [], 3: []}
     for tier in (1, 2, 3):
         monkeypatch.setattr(verify, f"tier{tier}", _stub(f"T{tier}", seen[tier]))
@@ -50,24 +50,34 @@ def test_later_tiers_run_on_one_helper_in_tier_order(monkeypatch):
     assert seen[3] == seen[2]
 
 
+def _fail(params, size, seed):
+    raise RuntimeError("tier failed")
+
+
 def test_helper_error_is_raised_to_the_caller(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
-    monkeypatch.setattr(verify, "tier1", _stub("T1"))
-
-    def fail(params, size, seed):
-        raise RuntimeError("helper failed")
-
-    monkeypatch.setattr(verify, "tier2", fail)
-    with pytest.raises(RuntimeError, match="helper failed"):
+    seen = []
+    monkeypatch.setattr(verify, "tier1", _stub("T1", seen, delay=0.05))
+    monkeypatch.setattr(verify, "tier2", _fail)
+    with pytest.raises(RuntimeError, match="tier failed"):
         run_verify(fourier_params(), 256, 1, include_bench=False)
+    assert seen == [threading.main_thread()]
 
 
-@pytest.mark.parametrize("cpus, tiers", ((1, (1, 2, 3)), (4, (1,)), (4, (2, 3))))
-def test_no_thread_starts_for_one_cpu_or_one_side(cpus, tiers, monkeypatch):
+def test_calling_thread_error_is_raised_after_the_helper_finished(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "tier1", _fail)
+    monkeypatch.setattr(verify, "tier2", _stub("T2", seen, delay=0.05))
+    monkeypatch.setattr(verify, "tier3", _stub("T3", seen))
+    with pytest.raises(RuntimeError, match="tier failed"):
+        run_verify(fourier_params(), 256, 1, include_bench=False)
+    assert len(seen) == 2 and threading.main_thread() not in seen
+
+
+@pytest.mark.parametrize("tiers", ((1,), (2, 3), (3,)))
+def test_no_thread_starts_for_one_side(tiers, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(engine, "_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     seen = []
     for tier in (1, 2, 3):
@@ -79,7 +89,6 @@ def test_no_thread_starts_for_one_cpu_or_one_side(cpus, tiers, monkeypatch):
 
 
 def test_timing_check_runs_alone_after_the_helper_joined(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
     monkeypatch.setattr(verify, "tier1", _stub("T1"))
     monkeypatch.setattr(verify, "tier2", _stub("T2", delay=0.05))
     monkeypatch.setattr(verify, "tier3", _stub("T3"))
@@ -101,7 +110,6 @@ def test_timing_check_runs_alone_after_the_helper_joined(monkeypatch):
 
 
 def test_helper_runs_in_the_callers_numpy_error_state(monkeypatch):
-    monkeypatch.setattr(engine, "_cpus", lambda: 2)
     monkeypatch.setattr(verify, "tier1", _stub("T1"))
     tier2 = verify.tier2
     states = []
@@ -122,3 +130,14 @@ def test_helper_runs_in_the_callers_numpy_error_state(monkeypatch):
     with np.errstate(under="ignore"):
         run_verify(params, 256, 1, tiers=(1, 2), include_bench=False)
     assert states[1][1]["under"] == "ignore"
+
+
+@pytest.mark.parametrize("text, size, seed", (
+    ("fourier", 2048, 15), ("frft:0.7853981633974483", 1024, 19),
+    ("1,2,-2,-3,0.3,-0.2", 2048, 74), ("1,-0.5,0,1,0.2,-0.1", 1024, 53)))
+def test_tier1_passes_where_two_mixture_spectra_miss_each_other(text, size, seed):
+    # on these seeds the spectra of the two Gaussian mixtures barely
+    # overlap, so T1.07 and T1.08 must not pair them
+    report = run_verify(parse_params(text), size, seed, tiers=(1,),
+                        include_bench=False)
+    assert report.n_fail == 0, [c.line() for c in report.checks if not c.passed]
