@@ -50,6 +50,28 @@ def test_later_tiers_run_on_one_helper_in_tier_order(monkeypatch):
     assert seen[3] == seen[2]
 
 
+def _finishing(check_id, finished, delay=0.05):
+    """A tier that sleeps for delay, then records its thread in `finished`."""
+    def tier(params, size, seed):
+        time.sleep(delay)
+        finished.append((check_id, threading.current_thread()))
+        return [CheckResult(check_id, "stub", 1.0, 0.0, True)]
+    return tier
+
+
+def test_checks_keep_tier_order_when_the_helper_finishes_first(monkeypatch):
+    finished = []
+    monkeypatch.setattr(verify, "tier1", _finishing("T1", finished, delay=0.1))
+    monkeypatch.setattr(verify, "tier2", _finishing("T2", finished))
+    monkeypatch.setattr(verify, "tier3", _finishing("T3", finished, delay=0.0))
+    report = run_verify(fourier_params(), 256, 1, include_bench=False)
+    assert [c.check_id for c in report.checks] == ["T1", "T2", "T3"]
+    assert [check_id for check_id, _ in finished] == ["T2", "T3", "T1"]
+    threads = dict(finished)
+    assert threads["T1"] is threading.main_thread()
+    assert threads["T2"] is threads["T3"] is not threading.main_thread()
+
+
 def _fail(params, size, seed):
     raise RuntimeError("tier failed")
 
@@ -71,6 +93,24 @@ def test_calling_thread_error_is_raised_after_the_helper_finished(monkeypatch):
     with pytest.raises(RuntimeError, match="tier failed"):
         run_verify(fourier_params(), 256, 1, include_bench=False)
     assert len(seen) == 2 and threading.main_thread() not in seen
+
+
+@pytest.mark.parametrize("failing", (2, 3))
+def test_helper_tier_error_is_raised_after_both_sides_finished(failing,
+                                                               monkeypatch):
+    # the helper runs tier 2 then tier 3; a failure in either is raised once
+    # tier 1 has finished on the calling thread, and tier 3 never starts
+    # after tier 2 failed
+    finished = []
+    for tier in (1, 2, 3):
+        monkeypatch.setattr(verify, f"tier{tier}", _fail if tier == failing
+                            else _finishing(f"T{tier}", finished))
+    with pytest.raises(RuntimeError, match="tier failed"):
+        run_verify(fourier_params(), 256, 1, include_bench=False)
+    threads = dict(finished)
+    assert sorted(threads) == (["T1"] if failing == 2 else ["T1", "T2"])
+    assert threads["T1"] is threading.main_thread()
+    assert threads.get("T2", None) is not threading.main_thread()
 
 
 @pytest.mark.parametrize("tiers", ((1,), (2, 3), (3,)))
